@@ -9,7 +9,9 @@ credential validator, serve it over a small TCP gateway, and trace leaked
 deployments by probing with each user's key.
 """
 
-from . import acpt, cli, gateway, ledger, media, pcpt, phash, synthdata, tinynn
+# cli is left out so that `python -m modelmark.cli` does not find it already
+# imported; `from modelmark import cli` still loads it.
+from . import acpt, gateway, ledger, media, pcpt, phash, synthdata, tinynn
 from .errors import ModelmarkError
 
 __all__ = [

@@ -197,6 +197,21 @@ def detector_accepts(detector: ModelSnapshot, key_image: np.ndarray) -> bool:
     return float(probs[1]) > 0.5
 
 
+def _authorized(
+    bundles: list[UserKeyBundle],
+    base: IdentityBase,
+    encrypted_username: str,
+    key_image: np.ndarray,
+) -> bool:
+    """The authorization decision: the validator maps the (credential, key
+    image) pair to some user whose bundle's detector accepts the key image."""
+    validated_user = validate(base, encrypted_username, key_image)
+    return validated_user is not None and any(
+        bundle.user_id == validated_user and detector_accepts(bundle.detector, key_image)
+        for bundle in bundles
+    )
+
+
 def authorize(
     bundles: list[UserKeyBundle],
     base: IdentityBase,
@@ -218,12 +233,7 @@ def authorize(
         raise InvalidInputError(
             f"query shape {query.shape} does not match model input {model.input_shape}"
         )
-    validated_user = validate(base, encrypted_username, key_image)
-    authorized = validated_user is not None and any(
-        bundle.user_id == validated_user and detector_accepts(bundle.detector, key_image)
-        for bundle in bundles
-    )
-    if authorized:
+    if _authorized(bundles, base, encrypted_username, key_image):
         return int(np.argmax(tinynn.forward(model, query)))
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
     return int(gen.integers(0, model.num_classes))
@@ -245,24 +255,34 @@ def trace_acpt(
 ) -> AcptTraceReport:
     """Probe a leaked deployment with every user's (credential, key image).
 
+    Each probe is decided once, as `authorize` would decide each of its
+    queries: an authorized probe labels the whole test set with one batched
+    forward pass, an unauthorized one draws every label from that user's
+    seeded stream in one call. Accuracies equal those of calling `authorize`
+    per test sample with the same stream.
+
     The verdict names the unique user whose probe unlocks accuracy of at
     least TRACE_ACCEPT while every other probe stays at or below
     TRACE_REJECT; anything else is inconclusive.
     """
     if len(probes) < 2:
         raise InvalidInputError("need probes for at least two users")
+    if len(test) == 0:
+        raise InvalidInputError("need at least one test sample")
+    if test.inputs.shape[1:] != model.input_shape:
+        raise InvalidInputError(
+            f"query shape {test.inputs.shape[1:]} does not match model input {model.input_shape}"
+        )
     accuracy: dict[str, float] = {}
     for user_id, (encrypted_username, key_image) in probes.items():
-        gen = np.random.default_rng(
-            int.from_bytes(hashlib.sha256(f"{seed}:{user_id}".encode()).digest()[:8], "big")
-        )
-        hits = 0
-        for i in range(len(test)):
-            pred = authorize(
-                bundles, base, encrypted_username, key_image, test.inputs[i], model, gen
+        if _authorized(bundles, base, encrypted_username, key_image):
+            preds = np.argmax(tinynn.forward(model, test.inputs), axis=1)
+        else:
+            gen = np.random.default_rng(
+                int.from_bytes(hashlib.sha256(f"{seed}:{user_id}".encode()).digest()[:8], "big")
             )
-            hits += int(pred == test.labels[i])
-        accuracy[user_id] = hits / len(test)
+            preds = gen.integers(0, model.num_classes, size=len(test))
+        accuracy[user_id] = int(np.sum(preds == test.labels)) / len(test)
 
     verdict = INCONCLUSIVE
     for user, acc in accuracy.items():

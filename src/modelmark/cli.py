@@ -467,6 +467,7 @@ def _cmd_serve(ws: WorkspaceManifest, args) -> int:
     addr = service.address
     ws.seeds = {"service": args.seed}
     _emit("serve", [f"listening on {addr[0]}:{addr[1]}"], {"address": list(addr), **ws.record()})
+    sys.stdout.flush()  # the bound port must reach a piped stdout before any request
     try:
         service.wait()
     except KeyboardInterrupt:

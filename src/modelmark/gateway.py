@@ -104,8 +104,14 @@ class GatewayService:
             t.join(timeout=5.0)
 
     def wait(self) -> None:
-        """Block until the service stops accepting (e.g. close() elsewhere)."""
-        self._accept_thread.join()
+        """Block until the service stops accepting (e.g. close() elsewhere).
+
+        Joins in short steps: a signal delivered to another thread would
+        otherwise never interrupt an untimed join, and KeyboardInterrupt
+        would not reach the caller.
+        """
+        while self._accept_thread.is_alive():
+            self._accept_thread.join(timeout=0.2)
 
     def __enter__(self) -> "GatewayService":
         return self

@@ -277,6 +277,41 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int) -> np.ndarra
     return dx
 
 
+def _pool_windows(x: np.ndarray, wnd: int):
+    """Strided views of x, one per window position in row-major order: view
+    p holds element (p // wnd, p % wnd) of every wnd x wnd pooling window."""
+    oh, ow = x.shape[2] // wnd, x.shape[3] // wnd
+    for p in range(wnd * wnd):
+        di, dj = divmod(p, wnd)
+        yield x[:, :, di : oh * wnd : wnd, dj : ow * wnd : wnd]
+
+
+def _maxpool(x: np.ndarray, wnd: int, keep_index: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Max over each wnd x wnd window, without copying x into blocks.
+
+    With keep_index, also returns the window position of each maximum;
+    ties go to the first position, as argmax would.
+    """
+    windows = _pool_windows(x, wnd)
+    pooled = next(windows).copy()
+    idx = np.zeros(pooled.shape, dtype=np.min_scalar_type(wnd * wnd - 1)) if keep_index else None
+    for p, win in enumerate(windows, start=1):
+        if keep_index:
+            np.copyto(idx, p, where=win > pooled)
+        # On ties np.maximum returns its second operand, so the earlier
+        # position keeps its value (this matters for -0.0 against 0.0).
+        np.maximum(win, pooled, out=pooled)
+    return pooled, idx
+
+
+def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, in_shape: tuple, wnd: int) -> np.ndarray:
+    """Route each output gradient to the input position that held the max."""
+    dx = np.zeros(in_shape, dtype=dout.dtype)
+    for p, win in enumerate(_pool_windows(dx, wnd)):
+        win[...] = np.where(idx == p, dout, 0)
+    return dx
+
+
 def _forward_stack(model: ModelSnapshot, xb: np.ndarray, keep_cache: bool):
     """Run the stack on a batch, returning logits and (optionally) caches."""
     act = xb
@@ -291,19 +326,10 @@ def _forward_stack(model: ModelSnapshot, xb: np.ndarray, keep_cache: bool):
                 caches.append((act.shape, cols))
             act = out.transpose(0, 2, 1).reshape(act.shape[0], w.shape[0], out_h, out_w)
         elif isinstance(layer, MaxPool2d):
-            wnd = layer.window
-            n, c, h, w_ = act.shape
-            oh, ow = h // wnd, w_ // wnd
-            blocks = (
-                act[:, :, : oh * wnd, : ow * wnd]
-                .reshape(n, c, oh, wnd, ow, wnd)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, oh, ow, wnd * wnd)
-            )
-            idx = blocks.argmax(-1)
+            pooled, idx = _maxpool(act, layer.window, keep_index=keep_cache)
             if keep_cache:
                 caches.append((act.shape, idx))
-            act = np.take_along_axis(blocks, idx[..., None], -1)[..., 0]
+            act = pooled
         elif isinstance(layer, Relu):
             mask = act > 0
             if keep_cache:
@@ -357,18 +383,7 @@ def _loss_and_grads(model: ModelSnapshot, xb: np.ndarray, yb: np.ndarray):
             dact = dact * cache
         elif isinstance(layer, MaxPool2d):
             in_shape, idx = cache
-            wnd = layer.window
-            n_, c, h, w_ = in_shape
-            oh, ow = h // wnd, w_ // wnd
-            dblocks = np.zeros((n_, c, oh, ow, wnd * wnd), dtype=dact.dtype)
-            np.put_along_axis(dblocks, idx[..., None], dact[..., None], -1)
-            dx = np.zeros(in_shape, dtype=dact.dtype)
-            dx[:, :, : oh * wnd, : ow * wnd] = (
-                dblocks.reshape(n_, c, oh, ow, wnd, wnd)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n_, c, oh * wnd, ow * wnd)
-            )
-            dact = dx
+            dact = _maxpool_backward(dact, idx, in_shape, layer.window)
         elif isinstance(layer, Conv2d):
             in_shape, cols = cache
             w = model.weights[i]

@@ -210,41 +210,95 @@ class TestAuthorize:
             )
 
 
+def _leaked_world():
+    """A deployment carrying only Bob's authorization center, probed with
+    Alice's key (validates, but no bundle of hers) and Bob's (unlocks)."""
+    rings_det, rings, _ = _detector_world(seed=5)
+    spots = synthdata.key_image_class("spots", 24, seed=9)
+    others = synthdata.key_image_class("other", 24, seed=10)
+    spots_det = acpt.train_detector(
+        spots[:16], others[:16] + rings[:8],
+        TrainConfig(epochs=25, batch_size=8, learning_rate=0.02, seed=6),
+        input_shape=(1, 14, 14),
+    )
+    cred_a = acpt.make_credential("user1", "HN", range(8))
+    cred_b = acpt.make_credential("user2", "HN", range(8))
+    base = acpt.enroll(acpt.IdentityBase(), cred_a, rings[0], "Alice")
+    base = acpt.enroll(base, cred_b, spots[0], "Bob")
+    leaked_bundle = acpt.UserKeyBundle(
+        user_id="Bob", key_images=spots[:4], detector=spots_det, credential=cred_b
+    )
+    probes = {
+        "Alice": (cred_a.encrypted_username, rings[0]),
+        "Bob": (cred_b.encrypted_username, spots[0]),
+    }
+    return [leaked_bundle], base, _brightness_true_model(), probes
+
+
 class TestTraceAcpt:
     def test_leaker_named_by_unlocking_key(self):
-        rings_det, rings, _ = _detector_world(seed=5)
-        spots = synthdata.key_image_class("spots", 24, seed=9)
-        others = synthdata.key_image_class("other", 24, seed=10)
-        spots_det = acpt.train_detector(
-            spots[:16], others[:16] + rings[:8],
-            TrainConfig(epochs=25, batch_size=8, learning_rate=0.02, seed=6),
-            input_shape=(1, 14, 14),
-        )
-        cred_a = acpt.make_credential("user1", "HN", range(8))
-        cred_b = acpt.make_credential("user2", "HN", range(8))
-        base = acpt.enroll(acpt.IdentityBase(), cred_a, rings[0], "Alice")
-        base = acpt.enroll(base, cred_b, spots[0], "Bob")
-
-        # the leaked deployment carries Bob's authorization center
-        leaked_bundle = acpt.UserKeyBundle(
-            user_id="Bob", key_images=spots[:4], detector=spots_det, credential=cred_b
-        )
-        model = _brightness_true_model()
+        bundles, base, model, probes = _leaked_world()
         test = _bucket_dataset(n=60, seed=11)
-        report = acpt.trace_acpt(
-            [leaked_bundle],
-            base,
-            model,
-            probes={
-                "Alice": (cred_a.encrypted_username, rings[0]),
-                "Bob": (cred_b.encrypted_username, spots[0]),
-            },
-            test=test,
-            seed=0,
-        )
+        report = acpt.trace_acpt(bundles, base, model, probes=probes, test=test, seed=0)
         assert report.per_user_accuracy["Bob"] >= acpt.TRACE_ACCEPT
         assert report.per_user_accuracy["Alice"] <= acpt.TRACE_REJECT
         assert report.verdict == "Bob"
+
+    def test_equals_per_sample_authorize_loop(self):
+        bundles, base, model, probes = _leaked_world()
+        test = _bucket_dataset(n=80, seed=14)
+        seed = 3
+        expected = {}
+        for user_id, (cred, key) in probes.items():
+            gen = np.random.default_rng(
+                int.from_bytes(hashlib.sha256(f"{seed}:{user_id}".encode()).digest()[:8], "big")
+            )
+            hits = sum(
+                acpt.authorize(bundles, base, cred, key, test.inputs[i], model, gen) == test.labels[i]
+                for i in range(len(test))
+            )
+            expected[user_id] = hits / len(test)
+        report = acpt.trace_acpt(bundles, base, model, probes=probes, test=test, seed=seed)
+        assert report.per_user_accuracy == expected
+        assert 0 < expected["Alice"] < acpt.TRACE_REJECT  # the random draws are compared too
+        assert report.verdict == "Bob"
+
+    def test_decides_once_per_probe_and_runs_one_batch(self, monkeypatch):
+        bundles, base, model, probes = _leaked_world()
+        test = _bucket_dataset(n=50, seed=15)
+        counts = {"phash": 0, "detector": 0}
+        model_rows = []
+
+        def counting(module, attr, key):
+            original = getattr(module, attr)
+
+            def wrapper(*args):
+                counts[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        counting(phash, "phash_image", "phash")
+        counting(acpt, "detector_accepts", "detector")
+        original_forward = tinynn.forward
+
+        def forward(m, x):
+            if m is model:
+                model_rows.append(len(x))
+            return original_forward(m, x)
+
+        monkeypatch.setattr(tinynn, "forward", forward)
+        report = acpt.trace_acpt(bundles, base, model, probes=probes, test=test, seed=0)
+        assert report.verdict == "Bob"
+        assert counts["phash"] == len(probes)
+        assert counts["detector"] <= len(probes)
+        assert model_rows == [len(test)]  # only Bob's probe unlocks the model
+
+    def test_empty_test_set_is_invalid_input(self):
+        bundles, base, model, probes = _leaked_world()
+        empty = LabeledDataset(np.zeros((0, 1, 4, 4), dtype=np.float32), np.zeros(0, dtype=np.int64), 10)
+        with pytest.raises(InvalidInputError):
+            acpt.trace_acpt(bundles, base, model, probes=probes, test=empty, seed=0)
 
     def test_no_discrimination_is_inconclusive(self):
         detector, keys, _ = _detector_world(seed=7)

@@ -3,10 +3,18 @@ JSON record emitted as the final stdout line."""
 
 import hashlib
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from modelmark import cli, media, synthdata, tinynn
+import modelmark
+from modelmark import acpt, cli, media, synthdata, tinynn
 
 
 def run_cli(capsys, argv):
@@ -251,3 +259,79 @@ class TestAcptFlow:
         assert code == 0
         detector = tinynn.load_model(workspace / "det.tnn")
         assert detector.num_classes == 2
+
+
+def _cli_process(args, stderr_path, *python_flags):
+    """`python -m modelmark.cli ARGS` with stdout on a pipe and Python's
+    default buffering (PYTHONUNBUFFERED unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(modelmark.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(stderr_path, "wb") as stderr:
+        return subprocess.Popen(
+            [sys.executable, *python_flags, "-m", "modelmark.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+        )
+
+
+def _read_line(proc, timeout):
+    """First stdout line of a running process, or None if none arrives in time."""
+    fd = proc.stdout.fileno()
+    deadline = time.monotonic() + timeout
+    buf = b""
+    while b"\n" not in buf:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            return None
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            return None
+        buf += chunk
+    return buf.split(b"\n", 1)[0].decode()
+
+
+@pytest.fixture(scope="module")
+def serve_args(tmp_path_factory):
+    root = tmp_path_factory.mktemp("serve")
+    model = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=0)
+    detector = tinynn.init_model((1, 28, 28), acpt.detector_layers(), 2, seed=0)
+    tinynn.save_model(model, root / "model.tnn")
+    tinynn.save_model(detector, root / "det.tnn")
+    (root / "identity.ndjson").write_text("")
+    return [
+        "serve", "--bind", "127.0.0.1:0", "--model", str(root / "model.tnn"),
+        "--base", str(root / "identity.ndjson"), "--detector", f"Alice={root / 'det.tnn'}",
+    ]
+
+
+class TestProcess:
+    def test_module_entry_point_raises_no_runtime_warning(self, tmp_path):
+        with _cli_process(["--help"], tmp_path / "stderr", "-W", "error::RuntimeWarning") as proc:
+            out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, (tmp_path / "stderr").read_text()
+        assert b"usage" in out
+
+    def test_serve_port_reaches_a_pipe(self, serve_args, tmp_path):
+        with _cli_process(serve_args, tmp_path / "stderr") as proc:
+            try:
+                line = _read_line(proc, timeout=30)
+                assert line is not None, (tmp_path / "stderr").read_text()
+                host, _, port = line.removeprefix("listening on ").rpartition(":")
+                assert host == "127.0.0.1" and int(port) > 0
+            finally:
+                proc.kill()
+
+    def test_serve_exits_cleanly_on_sigint(self, serve_args, tmp_path):
+        """Aimed at a non-main thread, the signal is handled there; the main
+        thread must still see KeyboardInterrupt and shut the service down."""
+        with _cli_process(serve_args, tmp_path / "stderr") as proc:
+            try:
+                assert _read_line(proc, timeout=30) is not None, (tmp_path / "stderr").read_text()
+                tasks = Path(f"/proc/{proc.pid}/task")
+                others = [int(t.name) for t in tasks.iterdir() if int(t.name) != proc.pid] if tasks.exists() else []
+                os.kill(others[0] if others else proc.pid, signal.SIGINT)
+                assert proc.wait(timeout=5) == 0
+            finally:
+                proc.kill()

@@ -81,6 +81,71 @@ class TestForward:
             tinynn.forward(_dense_model(), np.ones(7))
 
 
+def _oracle_maxpool(x, wnd):
+    """Reference max-pool: copy into (…, wnd*wnd) blocks, argmax, gather."""
+    n, c, h, w = x.shape
+    oh, ow = h // wnd, w // wnd
+    blocks = (
+        x[:, :, : oh * wnd, : ow * wnd]
+        .reshape(n, c, oh, wnd, ow, wnd)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, oh, ow, wnd * wnd)
+    )
+    idx = blocks.argmax(-1)
+    return np.take_along_axis(blocks, idx[..., None], -1)[..., 0], idx
+
+
+def _oracle_maxpool_backward(dout, idx, in_shape, wnd):
+    n, c, h, w = in_shape
+    oh, ow = h // wnd, w // wnd
+    dblocks = np.zeros((n, c, oh, ow, wnd * wnd), dtype=dout.dtype)
+    np.put_along_axis(dblocks, idx[..., None], dout[..., None], -1)
+    dx = np.zeros(in_shape, dtype=dout.dtype)
+    dx[:, :, : oh * wnd, : ow * wnd] = (
+        dblocks.reshape(n, c, oh, ow, wnd, wnd)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, oh * wnd, ow * wnd)
+    )
+    return dx
+
+
+class TestMaxPool:
+    CASES = [((3, 2, 8, 8), 2), ((2, 3, 7, 9), 2), ((2, 1, 9, 10), 3), ((1, 2, 5, 5), 5)]
+
+    def _inputs(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        yield rng.standard_normal(shape).astype(np.float32)
+        yield rng.standard_normal(shape)  # float64
+        # integer values: many ties inside each window
+        yield rng.integers(-1, 2, shape).astype(np.float32)
+        # -0.0 and 0.0 tie (ReLU writes both), and the first one must win
+        zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(np.float32)
+        yield np.where(rng.random(shape) < 0.2, 1.0, zeros).astype(np.float32)
+
+    @pytest.mark.parametrize("shape,wnd", CASES)
+    def test_forward_and_backward_equal_oracle(self, shape, wnd):
+        for x in self._inputs(shape, seed=sum(shape) + wnd):
+            want, want_idx = _oracle_maxpool(x, wnd)
+            got, idx = tinynn._maxpool(x, wnd, keep_index=True)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+            assert np.array_equal(idx, want_idx)
+            plain, none = tinynn._maxpool(x, wnd, keep_index=False)
+            assert none is None and plain.tobytes() == want.tobytes()
+
+            dout = np.random.default_rng(1).standard_normal(want.shape).astype(x.dtype)
+            want_dx = _oracle_maxpool_backward(dout, want_idx, x.shape, wnd)
+            got_dx = tinynn._maxpool_backward(dout, idx, x.shape, wnd)
+            assert got_dx.dtype == want_dx.dtype
+            assert got_dx.tobytes() == want_dx.tobytes()
+
+    def test_input_not_modified(self):
+        x = np.random.default_rng(2).standard_normal((2, 2, 6, 6)).astype(np.float32)
+        before = x.copy()
+        tinynn._maxpool(x, 2, keep_index=True)
+        assert np.array_equal(x, before)
+
+
 class TestGradientCheck:
     def test_dense_model(self):
         rng = np.random.default_rng(0)
