@@ -5,7 +5,7 @@ Each user's model copy gets an 11th output class trained on that user's
 trigger frames. A leaked copy answers the extra class only for its own
 user's triggers, which is what the threshold test reads off. Runs at a
 reduced scale (2k training images, 20-epoch embeds) so it finishes in
-about a minute.
+about 12 seconds on 2 vCPUs.
 """
 
 from modelmark import media, pcpt, synthdata, tinynn

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import media, phash, tinynn
-from .errors import CollisionError, InvalidInputError
+from .errors import CollisionError, FormatError, InvalidInputError
+from .pcpt import leader_and_best_other
 from .tinynn import LabeledDataset, ModelSnapshot, TrainConfig
 
 HEX_ALPHABET = "0123456789abcdef"
@@ -31,6 +32,16 @@ TRACE_REJECT = 0.30
 INCONCLUSIVE = "inconclusive"
 
 
+def _check_k1(k1) -> tuple[int, ...]:
+    """k1 as a tuple; raises unless it holds 8 distinct digest positions in [0, 64)."""
+    k1 = tuple(k1)
+    if len(k1) != CREDENTIAL_LENGTH or len(set(k1)) != CREDENTIAL_LENGTH:
+        raise InvalidInputError("k1 must hold 8 distinct indices")
+    if any(not 0 <= i < 64 for i in k1):
+        raise InvalidInputError("k1 indices must lie in [0, 64)")
+    return k1
+
+
 @dataclass(frozen=True)
 class Credential:
     username: str
@@ -38,15 +49,11 @@ class Credential:
     k1: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", tuple(self.k1))
+        object.__setattr__(self, "k1", _check_k1(self.k1))
         if len(self.encrypted_username) != CREDENTIAL_LENGTH:
             raise InvalidInputError("encrypted_username must be 8 characters")
         if any(c not in HEX_ALPHABET for c in self.encrypted_username):
             raise InvalidInputError("encrypted_username must use the SHA-256 hex alphabet")
-        if len(self.k1) != CREDENTIAL_LENGTH or len(set(self.k1)) != CREDENTIAL_LENGTH:
-            raise InvalidInputError("k1 must hold 8 distinct indices")
-        if any(not 0 <= i < 64 for i in self.k1):
-            raise InvalidInputError("k1 indices must lie in [0, 64)")
 
 
 def make_credential(username: str, owner_fp: str, k1) -> Credential:
@@ -54,11 +61,7 @@ def make_credential(username: str, owner_fp: str, k1) -> Credential:
 
     k1 lists which digest positions are extracted, in extraction order.
     """
-    k1 = tuple(int(i) for i in k1)
-    if len(k1) != CREDENTIAL_LENGTH or len(set(k1)) != CREDENTIAL_LENGTH:
-        raise InvalidInputError("k1 must hold 8 distinct indices")
-    if any(not 0 <= i < 64 for i in k1):
-        raise InvalidInputError("k1 indices must lie in [0, 64)")
+    k1 = _check_k1(int(i) for i in k1)
     try:
         digest_input = f"{owner_fp}_{username}".encode("ascii")
     except UnicodeEncodeError as exc:
@@ -74,6 +77,8 @@ def credential_bits(encrypted_username: str) -> int:
         raise InvalidInputError(
             f"credential must be 8 characters, got {len(encrypted_username)}"
         )
+    if not encrypted_username.isascii():
+        raise InvalidInputError("credential must be ASCII")
     return int.from_bytes(encrypted_username.encode("ascii"), "big")
 
 
@@ -97,11 +102,14 @@ class IdentityBase:
     @classmethod
     def load(cls, path: str | Path) -> "IdentityBase":
         entries: dict[int, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            entries[phash.from_hex(obj["i_hex"])] = obj["user_id"]
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                entries[phash.from_hex(obj["i_hex"])] = obj["user_id"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: line {number}: malformed entry ({exc!r})") from exc
         return cls(entries=entries)
 
 
@@ -284,10 +292,6 @@ def trace_acpt(
             preds = gen.integers(0, model.num_classes, size=len(test))
         accuracy[user_id] = int(np.sum(preds == test.labels)) / len(test)
 
-    verdict = INCONCLUSIVE
-    for user, acc in accuracy.items():
-        others_low = all(a <= TRACE_REJECT for u, a in accuracy.items() if u != user)
-        if acc >= TRACE_ACCEPT and others_low:
-            verdict = user
-            break
+    leader, top, best_other = leader_and_best_other(accuracy)
+    verdict = leader if top >= TRACE_ACCEPT and best_other <= TRACE_REJECT else INCONCLUSIVE
     return AcptTraceReport(per_user_accuracy=accuracy, verdict=verdict)

@@ -59,6 +59,10 @@ def _load_image(ws: WorkspaceManifest, role: str, raw: str) -> np.ndarray:
     return media.parse_image_bytes(ws.path(role, raw).read_bytes())
 
 
+def _load_trigger_sets(ws: WorkspaceManifest, raws: list[str]) -> list[media.TriggerSet]:
+    return [media.load_trigger_set(ws.path(f"triggers_{i}", raw)) for i, raw in enumerate(raws)]
+
+
 def _load_dataset(ws: WorkspaceManifest, images: str, labels: str, role: str) -> tinynn.LabeledDataset:
     if not images or not labels:
         raise ModelmarkError(f"{role} data needs both an images and a labels path")
@@ -86,8 +90,9 @@ def _add_train_flags(p: argparse.ArgumentParser, default_epochs: int) -> None:
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta1", type=float, default=0.85)
-    p.add_argument("--theta2", type=float, default=0.60)
+    defaults = pcpt.TraceThresholds()
+    p.add_argument("--theta1", type=float, default=defaults.theta1)
+    p.add_argument("--theta2", type=float, default=defaults.theta2)
 
 
 def _thresholds(ws: WorkspaceManifest, args) -> pcpt.TraceThresholds:
@@ -206,10 +211,7 @@ def _trace_record(report: pcpt.TraceReport) -> dict:
 
 def _cmd_trace(ws: WorkspaceManifest, args) -> int:
     suspect = tinynn.load_model(ws.path("model", args.model))
-    trigger_sets = [
-        media.load_trigger_set(ws.path(f"triggers_{i}", raw))
-        for i, raw in enumerate(args.triggers)
-    ]
+    trigger_sets = _load_trigger_sets(ws, args.triggers)
     thresholds = _thresholds(ws, args)
     test = None
     if args.test_images:
@@ -235,10 +237,7 @@ def _cmd_fidelity(ws: WorkspaceManifest, args) -> int:
 def _cmd_attack_finetune(ws: WorkspaceManifest, args) -> int:
     model = tinynn.load_model(ws.path("model", args.model))
     test = _load_dataset(ws, args.test_images, args.test_labels, "test")
-    trigger_sets = [
-        media.load_trigger_set(ws.path(f"triggers_{i}", raw))
-        for i, raw in enumerate(args.triggers)
-    ]
+    trigger_sets = _load_trigger_sets(ws, args.triggers)
     thresholds = _thresholds(ws, args)
     ws.seeds = {"attack": args.seed}
     attacked, report = pcpt.finetune_attack(
@@ -259,10 +258,7 @@ def _cmd_attack_prune(ws: WorkspaceManifest, args) -> int:
         args.rate = ["0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"]
     model = tinynn.load_model(ws.path("model", args.model))
     test = _load_dataset(ws, args.test_images, args.test_labels, "test")
-    trigger_sets = [
-        media.load_trigger_set(ws.path(f"triggers_{i}", raw))
-        for i, raw in enumerate(args.triggers)
-    ]
+    trigger_sets = _load_trigger_sets(ws, args.triggers)
     rates = [
         float(token)
         for chunk in args.rate

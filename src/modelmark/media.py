@@ -109,6 +109,8 @@ def decode_y4m(data: bytes, source_id: str = "y4m") -> FrameSequence:
         token = token.decode("ascii", "replace")
         if not token:
             continue
+        if token[0] in "WH" and not token[1:].isdigit():
+            raise FormatError(f"stream header token {token!r} needs a decimal number")
         if token[0] == "W":
             width = int(token[1:])
         elif token[0] == "H":
@@ -161,7 +163,7 @@ def decode_y4m(data: bytes, source_id: str = "y4m") -> FrameSequence:
 # PGM / PPM
 # --------------------------------------------------------------------------
 
-def _parse_netpbm(data: bytes) -> np.ndarray:
+def parse_image_bytes(data: bytes) -> np.ndarray:
     """Parse binary PGM (P5) or PPM (P6); returns H x W x 3 uint8 (gray replicated)."""
     if data[:2] not in (b"P5", b"P6"):
         raise FormatError(f"not a binary PGM/PPM file (magic {data[:2]!r})")
@@ -201,11 +203,6 @@ def _parse_netpbm(data: bytes) -> np.ndarray:
     if channels == 1:
         arr = np.repeat(arr, 3, axis=2)
     return arr.copy()
-
-
-def parse_image_bytes(data: bytes) -> np.ndarray:
-    """Decode PGM/PPM bytes to an H x W x 3 uint8 array."""
-    return _parse_netpbm(data)
 
 
 def write_ppm(rgb: np.ndarray) -> bytes:
@@ -250,7 +247,7 @@ def load_frame_dir(path: str | Path, source_id: str | None = None) -> FrameSeque
     if not files:
         raise EmptySourceError(f"no PGM/PPM files under {root}")
     files.sort(key=lambda p: _natural_key(p.name))
-    frames = [_parse_netpbm(p.read_bytes()) for p in files]
+    frames = [parse_image_bytes(p.read_bytes()) for p in files]
     return FrameSequence(frames=frames, source_id=source_id or str(root))
 
 
@@ -353,7 +350,7 @@ def load_trigger_set(path: str | Path) -> TriggerSet:
             header[key] = value
             continue
         name, _, hex_hash = line.partition(" ")
-        img = _parse_netpbm((root / name).read_bytes())
+        img = parse_image_bytes((root / name).read_bytes())
         actual = phash.phash_image(img)
         if actual != phash.from_hex(hex_hash):
             raise FormatError(
@@ -377,7 +374,7 @@ def decode_base64_image(encoded: str) -> np.ndarray:
         raw = base64.b64decode(encoded, validate=True)
     except Exception as exc:
         raise FormatError(f"bad base64 payload: {exc}") from exc
-    return _parse_netpbm(raw)
+    return parse_image_bytes(raw)
 
 
 def encode_base64_image(rgb: np.ndarray) -> str:

@@ -117,6 +117,18 @@ def embed_watermark(
     )
 
 
+def leader_and_best_other(accuracy: dict[str, float]) -> tuple[str, float, float]:
+    """The user with the highest accuracy, that accuracy, and the highest
+    accuracy among all other users (-inf when there is no other user).
+
+    Ties at the top go to the first user in dict order. Both trace verdicts
+    rest on this: name the leader when it is high and the best other is low.
+    """
+    leader = max(accuracy, key=accuracy.__getitem__)
+    best_other = max((a for u, a in accuracy.items() if u != leader), default=float("-inf"))
+    return leader, accuracy[leader], best_other
+
+
 def trace(
     suspect: ModelSnapshot,
     trigger_sets: list[TriggerSet],
@@ -144,14 +156,11 @@ def trace(
         )
 
     accuracy = {ts.user_id: trigger_set_accuracy(suspect, ts) for ts in trigger_sets}
-    verdict = TRACEABILITY_FAILURE
-    for user, acc in accuracy.items():
-        others_low = all(
-            other_acc < thresholds.theta2 for u, other_acc in accuracy.items() if u != user
-        )
-        if acc > thresholds.theta1 and others_low:
-            verdict = user
-            break
+    leader, top, best_other = leader_and_best_other(accuracy)
+    verdict = (
+        leader if top > thresholds.theta1 and best_other < thresholds.theta2
+        else TRACEABILITY_FAILURE
+    )
 
     original = tinynn.evaluate(suspect, test) if test is not None else None
     return TraceReport(

@@ -11,6 +11,7 @@ Hashes are plain Python ints in [0, 2**64). All functions are pure.
 from __future__ import annotations
 
 import math
+import string
 from functools import lru_cache
 
 import numpy as np
@@ -143,7 +144,6 @@ def from_hex(s: str) -> int:
     """Parse the 16-hex-character serialization back to an int."""
     if len(s) != 16:
         raise InvalidInputError(f"expected 16 hex characters, got {len(s)}")
-    try:
-        return int(s, 16)
-    except ValueError as exc:
-        raise InvalidInputError(f"not a hex string: {s!r}") from exc
+    if any(c not in string.hexdigits for c in s):
+        raise InvalidInputError(f"not a hex string: {s!r}")
+    return int(s, 16)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from math import floor, sqrt
+from dataclasses import astuple, dataclass, fields
+from math import floor, prod, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,8 @@ def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -
                 raise InvalidInputError(f"layer {i}: conv2d needs (C, H, W) input, got {shape}")
             c, h, w = shape
             k, s = layer.kernel_size, layer.stride
+            if k < 1 or s < 1:
+                raise InvalidInputError(f"layer {i}: kernel {k} and stride {s} must be >= 1")
             if h < k or w < k:
                 raise InvalidInputError(f"layer {i}: kernel {k} exceeds input {h}x{w}")
             shape = (layer.out_channels, (h - k) // s + 1, (w - k) // s + 1)
@@ -85,6 +87,8 @@ def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -
             if len(shape) != 3:
                 raise InvalidInputError(f"layer {i}: max-pool needs (C, H, W) input, got {shape}")
             c, h, w = shape
+            if layer.window < 1:
+                raise InvalidInputError(f"layer {i}: window {layer.window} must be >= 1")
             if h < layer.window or w < layer.window:
                 raise InvalidInputError(f"layer {i}: window {layer.window} exceeds input {h}x{w}")
             shape = (c, h // layer.window, w // layer.window)
@@ -95,6 +99,23 @@ def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -
         else:
             raise InvalidInputError(f"layer {i}: unknown layer {layer!r}")
         out.append(shape)
+    return out
+
+
+def _weight_shapes(
+    input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]
+) -> list[tuple[int, ...] | None]:
+    """Weight shape of each layer, None for parameterless ones. A layer's
+    bias holds one value per output unit: shape (weight_shape[0],)."""
+    in_shapes = [tuple(input_shape)] + _chain_shapes(input_shape, layers)
+    out: list[tuple[int, ...] | None] = []
+    for layer, shape in zip(layers, in_shapes):
+        if isinstance(layer, Conv2d):
+            out.append((layer.out_channels, shape[0], layer.kernel_size, layer.kernel_size))
+        elif isinstance(layer, Dense):
+            out.append((layer.out_dim, prod(shape)))
+        else:
+            out.append(None)
     return out
 
 
@@ -122,8 +143,13 @@ class ModelSnapshot:
             )
         if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
             raise InvalidInputError("weights/biases must align with layers")
-        for i, w in enumerate(self.weights):
-            for arr in (w, self.biases[i]):
+        for i, shape in enumerate(_weight_shapes(self.input_shape, self.layers)):
+            w, b = self.weights[i], self.biases[i]
+            want = (None, None) if shape is None else (shape, shape[:1])
+            got = tuple(None if arr is None else arr.shape for arr in (w, b))
+            if got != want:
+                raise InvalidInputError(f"layer {i}: parameter shapes {got}, expected {want}")
+            for arr in (w, b):
                 if arr is not None and not np.all(np.isfinite(arr)):
                     raise InvalidInputError(f"layer {i}: non-finite parameters")
 
@@ -214,29 +240,18 @@ def init_model(
 ) -> ModelSnapshot:
     """Glorot-uniform initialization (seeded); biases start at zero."""
     rng = np.random.default_rng(seed)
-    shapes = _chain_shapes(tuple(input_shape), tuple(layers))
     weights: list[np.ndarray | None] = []
     biases: list[np.ndarray | None] = []
-    shape = tuple(input_shape)
-    for layer, out_shape in zip(layers, shapes):
-        if isinstance(layer, Conv2d):
-            in_c = shape[0]
-            fan_in = in_c * layer.kernel_size**2
-            fan_out = layer.out_channels * layer.kernel_size**2
-            limit = sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, (layer.out_channels, in_c, layer.kernel_size, layer.kernel_size))
-            weights.append(w.astype(np.float32))
-            biases.append(np.zeros(layer.out_channels, dtype=np.float32))
-        elif isinstance(layer, Dense):
-            in_dim = int(np.prod(shape))
-            limit = sqrt(6.0 / (in_dim + layer.out_dim))
-            w = rng.uniform(-limit, limit, (layer.out_dim, in_dim))
-            weights.append(w.astype(np.float32))
-            biases.append(np.zeros(layer.out_dim, dtype=np.float32))
-        else:
+    for shape in _weight_shapes(tuple(input_shape), tuple(layers)):
+        if shape is None:
             weights.append(None)
             biases.append(None)
-        shape = out_shape
+            continue
+        # (out, in, k, k) for conv, (out, in) for dense: fans count the kernel area
+        fan_in, fan_out = prod(shape[1:]), shape[0] * prod(shape[2:])
+        limit = sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, shape).astype(np.float32))
+        biases.append(np.zeros(shape[0], dtype=np.float32))
     return ModelSnapshot(
         input_shape=tuple(input_shape),
         layers=tuple(layers),
@@ -313,7 +328,8 @@ def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, in_shape: tuple, wnd: i
 
 
 def _forward_stack(model: ModelSnapshot, xb: np.ndarray, keep_cache: bool):
-    """Run the stack on a batch, returning logits and (optionally) caches."""
+    """Run the stack on a batch, returning the last activation, not yet
+    flattened to logits, and (optionally) caches."""
     act = xb
     caches: list = []
     for i, layer in enumerate(model.layers):
@@ -343,7 +359,7 @@ def _forward_stack(model: ModelSnapshot, xb: np.ndarray, keep_cache: bool):
         else:  # SoftmaxOutput: identity here, applied by the caller
             if keep_cache:
                 caches.append(None)
-    return act.reshape(act.shape[0], -1), caches
+    return act, caches
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -353,19 +369,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of softmax outputs against integer labels."""
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(picked + np.finfo(np.float64).tiny)))
+
+
 def _loss_and_grads(model: ModelSnapshot, xb: np.ndarray, yb: np.ndarray):
     """Mean cross-entropy and parameter gradients for one batch."""
-    logits, caches = _forward_stack(model, xb, keep_cache=True)
+    act, caches = _forward_stack(model, xb, keep_cache=True)
     n = xb.shape[0]
-    probs = _softmax(logits)
-    eps = np.finfo(np.float64).tiny
-    loss = float(-np.mean(np.log(probs[np.arange(n), yb] + eps)))
+    probs = _softmax(act.reshape(n, -1))
+    loss = _cross_entropy(probs, yb)
 
-    dact = probs.astype(logits.dtype)
+    dact = probs.astype(act.dtype)
     dact[np.arange(n), yb] -= 1.0
     dact /= n
-    final_shape = _chain_shapes(model.input_shape, model.layers)[-1]
-    dact = dact.reshape((n,) + final_shape)
+    dact = dact.reshape(act.shape)
 
     grad_w: list[np.ndarray | None] = [None] * len(model.layers)
     grad_b: list[np.ndarray | None] = [None] * len(model.layers)
@@ -397,35 +417,36 @@ def _loss_and_grads(model: ModelSnapshot, xb: np.ndarray, yb: np.ndarray):
     return loss, grad_w, grad_b
 
 
-def _as_batch(model: ModelSnapshot, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _logits(model: ModelSnapshot, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Logits of a single input or a batch, always as a batch, plus whether
+    x was a single input. The input is cast to the parameters' dtype
+    (float32 for a stack without parameters)."""
     arr = np.asarray(x)
-    if arr.shape == model.input_shape:
-        return arr[None, ...], True
-    if arr.shape[1:] == model.input_shape:
-        return arr, False
-    raise InvalidInputError(
-        f"input shape {arr.shape} does not match model input {model.input_shape}"
-    )
+    single = arr.shape == model.input_shape
+    if single:
+        arr = arr[None, ...]
+    elif arr.shape[1:] != model.input_shape:
+        raise InvalidInputError(
+            f"input shape {arr.shape} does not match model input {model.input_shape}"
+        )
+    dtype = np.float64 if any(
+        w is not None and w.dtype == np.float64 for w in model.weights
+    ) else np.float32
+    act, _ = _forward_stack(model, arr.astype(dtype), keep_cache=False)
+    return act.reshape(act.shape[0], -1), single
 
 
 def forward(model: ModelSnapshot, x: np.ndarray) -> np.ndarray:
     """Class probabilities for a single input or a batch."""
-    xb, single = _as_batch(model, x)
-    dtype = np.float64 if any(
-        w is not None and w.dtype == np.float64 for w in model.weights
-    ) else np.float32
-    logits, _ = _forward_stack(model, xb.astype(dtype), keep_cache=False)
+    logits, single = _logits(model, x)
     probs = _softmax(logits)
     return probs[0] if single else probs
 
 
 def predict(model: ModelSnapshot, x: np.ndarray, restrict_classes: int | None = None) -> np.ndarray:
     """Argmax labels; restrict_classes limits the argmax to the first k logits."""
-    xb, single = _as_batch(model, x)
-    logits, _ = _forward_stack(model, xb.astype(np.float32), keep_cache=False)
-    if restrict_classes is not None:
-        logits = logits[:, :restrict_classes]
-    labels = logits.argmax(axis=1)
+    logits, single = _logits(model, x)
+    labels = logits[:, :restrict_classes].argmax(axis=1)
     return labels[0] if single else labels
 
 
@@ -474,10 +495,8 @@ def train(model: ModelSnapshot, data: LabeledDataset, cfg: TrainConfig) -> Model
 
 def batch_loss(model: ModelSnapshot, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of one batch (no gradients)."""
-    logits, _ = _forward_stack(model, np.asarray(inputs), keep_cache=False)
-    probs = _softmax(logits)
-    n = len(labels)
-    return float(-np.mean(np.log(probs[np.arange(n), labels] + np.finfo(np.float64).tiny)))
+    logits, _ = _logits(model, inputs)
+    return _cross_entropy(_softmax(logits), labels)
 
 
 def gradient_check(model: ModelSnapshot, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -577,7 +596,9 @@ def global_magnitude_prune(model: ModelSnapshot, rate: float) -> ModelSnapshot:
 # Serialization
 # --------------------------------------------------------------------------
 
+# A layer is stored as its code, then its dataclass fields as uint32 in declaration order.
 _LAYER_CODES: dict[type, int] = {Conv2d: 1, MaxPool2d: 2, Relu: 3, Dense: 4, SoftmaxOutput: 5}
+_LAYER_TYPES: dict[int, type] = {code: cls for cls, code in _LAYER_CODES.items()}
 
 
 def _pack_tensor(arr: np.ndarray) -> bytes:
@@ -610,7 +631,7 @@ class _Reader:
     def tensor(self) -> np.ndarray:
         ndim = self.u8()
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
+        count = prod(shape)  # a Python int: a numpy product could wrap around to 0
         return np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape).copy()
 
 
@@ -622,13 +643,8 @@ def save_model(model: ModelSnapshot, path: str | Path) -> None:
     parts.append(struct.pack(f"<{len(model.input_shape)}I", *model.input_shape))
     parts.append(struct.pack("<I", len(model.layers)))
     for layer in model.layers:
-        parts.append(struct.pack("<B", _LAYER_CODES[type(layer)]))
-        if isinstance(layer, Conv2d):
-            parts.append(struct.pack("<III", layer.out_channels, layer.kernel_size, layer.stride))
-        elif isinstance(layer, MaxPool2d):
-            parts.append(struct.pack("<I", layer.window))
-        elif isinstance(layer, Dense):
-            parts.append(struct.pack("<I", layer.out_dim))
+        values = astuple(layer)
+        parts.append(struct.pack(f"<B{len(values)}I", _LAYER_CODES[type(layer)], *values))
     for i in range(len(model.layers)):
         if model.weights[i] is not None:
             parts.append(_pack_tensor(model.weights[i]))
@@ -658,18 +674,10 @@ def load_model(path: str | Path) -> ModelSnapshot:
     layers: list[LayerSpec] = []
     for _ in range(layer_count):
         code = r.u8()
-        if code == 1:
-            layers.append(Conv2d(r.u32(), r.u32(), r.u32()))
-        elif code == 2:
-            layers.append(MaxPool2d(r.u32()))
-        elif code == 3:
-            layers.append(Relu())
-        elif code == 4:
-            layers.append(Dense(r.u32()))
-        elif code == 5:
-            layers.append(SoftmaxOutput())
-        else:
+        if code not in _LAYER_TYPES:
             raise FormatError(f"unknown layer code {code}")
+        cls = _LAYER_TYPES[code]
+        layers.append(cls(*(r.u32() for _ in fields(cls))))
     weights: list[np.ndarray | None] = []
     biases: list[np.ndarray | None] = []
     for layer in layers:
@@ -679,13 +687,16 @@ def load_model(path: str | Path) -> ModelSnapshot:
         else:
             weights.append(None)
             biases.append(None)
-    return ModelSnapshot(
-        input_shape=tuple(input_shape),
-        layers=tuple(layers),
-        weights=weights,
-        biases=biases,
-        num_classes=num_classes,
-    )
+    try:
+        return ModelSnapshot(
+            input_shape=tuple(input_shape),
+            layers=tuple(layers),
+            weights=weights,
+            biases=biases,
+            num_classes=num_classes,
+        )
+    except InvalidInputError as exc:
+        raise FormatError(f"model file describes an invalid model: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modelmark import acpt, phash, synthdata, tinynn
-from modelmark.errors import CollisionError, InvalidInputError
+from modelmark.errors import CollisionError, FormatError, InvalidInputError
 from modelmark.tinynn import Dense, LabeledDataset, SoftmaxOutput, TrainConfig
 
 
@@ -94,6 +94,29 @@ class TestValidator:
             fake = bytes(rng.choice(alphabet, 8)).decode()
             hits += acpt.validate(base, fake, key) is not None
         assert hits == 0
+
+    def test_non_ascii_credential_is_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            acpt.credential_bits("é" * 8)
+        with pytest.raises(InvalidInputError):
+            acpt.validate(acpt.IdentityBase(), "é" * 8, self._key_image(1))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"not json",
+            b'{"user_id": "Bob"}',
+            b'["Bob", "0000000000000001"]',
+            b'{"user_id": "Bob", "i_hex": "not-a-hex-value!"}',
+            b'{"user_id": "Bob", "i_hex": 1}',
+            b'{"user_id": "\xff", "i_hex": "0000000000000002"}',
+        ],
+    )
+    def test_malformed_identity_base_line_is_format_error(self, tmp_path, line):
+        path = tmp_path / "identity.ndjson"
+        path.write_bytes(b'{"user_id":"Alice","i_hex":"0000000000000001"}\n' + line + b"\n")
+        with pytest.raises(FormatError, match="line 2"):
+            acpt.IdentityBase.load(path)
 
     def test_identity_base_persistence(self, tmp_path):
         base = acpt.IdentityBase()

@@ -261,6 +261,25 @@ class TestAcptFlow:
         assert detector.num_classes == 2
 
 
+    def test_non_ascii_probe_credential_is_an_error(self, workspace, capsys, tmp_path):
+        model = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=0)
+        detector = tinynn.init_model((1, 28, 28), acpt.detector_layers(), 2, seed=0)
+        tinynn.save_model(model, tmp_path / "model.tnn")
+        tinynn.save_model(detector, tmp_path / "det.tnn")
+        (tmp_path / "identity.ndjson").write_text("")
+        code = cli.main(
+            ["acpt", "trace", "--model", str(tmp_path / "model.tnn"),
+             "--base", str(tmp_path / "identity.ndjson"),
+             "--detector", f"Alice={tmp_path / 'det.tnn'}",
+             "--probe", f"Alice:{'é' * 8}:{workspace / 'a.ppm'}",
+             "--probe", f"Bob:00000000:{workspace / 'b.ppm'}",
+             "--test-images", str(workspace / "test-img.idx"),
+             "--test-labels", str(workspace / "test-lbl.idx")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 def _cli_process(args, stderr_path, *python_flags):
     """`python -m modelmark.cli ARGS` with stdout on a pipe and Python's
     default buffering (PYTHONUNBUFFERED unset)."""

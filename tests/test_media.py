@@ -40,6 +40,11 @@ class TestY4m:
         with pytest.raises(FormatError):
             media.decode_y4m(b"JUNK W2 H2\nFRAME\n" + bytes(12))
 
+    @pytest.mark.parametrize("header", [b"YUV4MPEG2 Wabc H2\n", b"YUV4MPEG2 W H2\n"])
+    def test_non_numeric_geometry_is_format_error(self, header):
+        with pytest.raises(FormatError, match="decimal"):
+            media.decode_y4m(header)
+
     def test_truncated_frame_payload_names_frame(self):
         data = b"YUV4MPEG2 W2 H2 C444\n" + b"FRAME\n" + bytes(5)
         with pytest.raises(TruncationError, match="frame 0"):

@@ -5,10 +5,13 @@ pure function of input brightness, so each accuracy pattern in the verdict
 table can be produced exactly without training.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from modelmark import pcpt, tinynn
+from modelmark import acpt, pcpt, tinynn
 from modelmark.errors import InvalidInputError
 from modelmark.media import TriggerSet
 from modelmark.pcpt import TRACEABILITY_FAILURE, TraceThresholds
@@ -152,6 +155,91 @@ class TestTraceVerdicts:
     def test_thresholds_validated(self):
         with pytest.raises(InvalidInputError):
             TraceThresholds(theta1=0.5, theta2=0.6)
+
+
+def _loop_verdict(accuracy, accept, reject, strict):
+    """The verdict loop both traces ran before they shared one rule: the
+    first user over the accept bar while every other user is under the
+    reject bar (strict comparisons for PCPT, inclusive ones for ACPT)."""
+    for user, acc in accuracy.items():
+        others = [a for u, a in accuracy.items() if u != user]
+        if strict and acc > accept and all(a < reject for a in others):
+            return user
+        if not strict and acc >= accept and all(a <= reject for a in others):
+            return user
+    return None
+
+
+def _pcpt_verdict(monkeypatch, accuracy, thresholds):
+    monkeypatch.setattr(pcpt, "trigger_set_accuracy", lambda model, ts: accuracy[ts.user_id])
+    sets = [_triggers(user, [20], 2) for user in accuracy]
+    report = pcpt.trace(_brightness_model(), sets, thresholds)
+    assert report.per_user_trigger_accuracy == accuracy
+    return report.verdict
+
+
+def _acpt_verdict(monkeypatch, accuracy, n=20):
+    """trace_acpt with every probe authorized and a model rigged to score
+    each probe's accuracy in turn (multiples of 1/n)."""
+    hits = iter([round(a * n) for a in accuracy.values()])
+
+    def forward(model, x):
+        k = next(hits)
+        return np.eye(2)[[0] * k + [1] * (n - k)]
+
+    monkeypatch.setattr(acpt, "_authorized", lambda *args: True)
+    monkeypatch.setattr(tinynn, "forward", forward)
+    test = LabeledDataset(np.zeros((n, 1, 1, 1), dtype=np.float32), np.zeros(n, dtype=np.int64), 2)
+    model = SimpleNamespace(input_shape=(1, 1, 1), num_classes=2)
+    probes = {user: ("0" * 8, None) for user in accuracy}
+    report = acpt.trace_acpt([], acpt.IdentityBase(), model, probes, test)
+    assert report.per_user_accuracy == accuracy
+    return report.verdict
+
+
+class TestVerdictRule:
+    """Both traces keep the verdicts of their original loops."""
+
+    PCPT_CASES = [
+        ({"A": 0.9}, TraceThresholds()),  # a single user
+        ({"A": 0.85}, TraceThresholds()),  # at theta1
+        ({"A": 0.9, "B": 0.9}, TraceThresholds()),  # tie at the top
+        ({"A": 0.9, "B": 0.9, "C": 0.0}, TraceThresholds()),
+        ({"A": 0.9, "B": 0.6}, TraceThresholds()),  # at theta2
+        ({"A": 0.9, "B": 0.59, "C": 0.1}, TraceThresholds()),
+        ({"A": 0.1, "B": 1.0, "C": 0.59}, TraceThresholds()),
+        ({"A": 1.0, "B": 0.0}, TraceThresholds(0.85, 0.0)),  # theta2 = 0
+        ({"A": 1.0}, TraceThresholds(0.85, 0.0)),
+        ({"A": 0.0, "B": 0.0}, TraceThresholds(0.5, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("accuracy,thresholds", PCPT_CASES)
+    def test_pcpt_table(self, monkeypatch, accuracy, thresholds):
+        want = _loop_verdict(accuracy, thresholds.theta1, thresholds.theta2, strict=True)
+        assert _pcpt_verdict(monkeypatch, accuracy, thresholds) == (want or TRACEABILITY_FAILURE)
+
+    def test_pcpt_grid(self, monkeypatch):
+        grid = [0.0, 0.3, 0.6, 0.85, 0.9, 1.0]
+        for theta1, theta2 in ((0.85, 0.6), (0.85, 0.0), (0.9, 0.3)):
+            for users in (1, 2, 3):
+                for values in itertools.product(grid, repeat=users):
+                    accuracy = dict(zip("ABC", values))
+                    want = _loop_verdict(accuracy, theta1, theta2, strict=True)
+                    got = _pcpt_verdict(monkeypatch, accuracy, TraceThresholds(theta1, theta2))
+                    assert got == (want or TRACEABILITY_FAILURE), (accuracy, theta1, theta2)
+
+    @pytest.mark.parametrize("accept,reject", [(0.8, 0.3), (0.5, 0.5), (0.8, 0.8)])
+    def test_acpt_grid(self, monkeypatch, accept, reject):
+        """The shipped bars, and equal bars where ties at the top can win."""
+        monkeypatch.setattr(acpt, "TRACE_ACCEPT", accept)
+        monkeypatch.setattr(acpt, "TRACE_REJECT", reject)
+        grid = [0.0, 0.3, 0.5, 0.8, 0.85, 1.0]
+        for users in (2, 3):
+            for values in itertools.product(grid, repeat=users):
+                accuracy = dict(zip("ABC", values))
+                want = _loop_verdict(accuracy, accept, reject, strict=False)
+                got = _acpt_verdict(monkeypatch, accuracy)
+                assert got == (want or acpt.INCONCLUSIVE), (accuracy, accept, reject)
 
 
 class TestFidelity:

@@ -176,6 +176,13 @@ class TestHashAlgebra:
         assert len(s) == 16
         assert phash.from_hex(s) == h
 
+    @pytest.mark.parametrize(
+        "text", ["-123456789abcdef", "0x23456789abcdef", "1_3456789abcdef0", " 123456789abcdef"]
+    )
+    def test_hex_rejects_anything_but_16_hex_digits(self, text):
+        with pytest.raises(InvalidInputError):
+            phash.from_hex(text)
+
     def test_hex_rejects_bad_length(self):
         with pytest.raises(InvalidInputError):
             phash.from_hex("abcd")

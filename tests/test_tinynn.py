@@ -3,6 +3,7 @@ transformation invariants, and byte-level serialization behavior."""
 
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,93 @@ class TestMaxPool:
         before = x.copy()
         tinynn._maxpool(x, 2, keep_index=True)
         assert np.array_equal(x, before)
+
+
+def _reference_loss_and_grads(model, xb, yb):
+    """One training step written out as the engine first did it: logits
+    flattened before the loss, the loss formula inline, the backward shape
+    re-derived from the layer chain. The oracle for byte-identical training."""
+    act, caches = tinynn._forward_stack(model, xb, keep_cache=True)
+    n = xb.shape[0]
+    logits = act.reshape(n, -1)
+    probs = tinynn._softmax(logits)
+    loss = float(-np.mean(np.log(probs[np.arange(n), yb] + np.finfo(np.float64).tiny)))
+    dact = probs.astype(logits.dtype)
+    dact[np.arange(n), yb] -= 1.0
+    dact /= n
+    dact = dact.reshape((n,) + tinynn._chain_shapes(model.input_shape, model.layers)[-1])
+    grad_w = [None] * len(model.layers)
+    grad_b = [None] * len(model.layers)
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, cache = model.layers[i], caches[i]
+        if isinstance(layer, Dense):
+            in_shape, flat = cache
+            grad_w[i] = dact.T @ flat
+            grad_b[i] = dact.sum(axis=0)
+            dact = (dact @ model.weights[i]).reshape(in_shape)
+        elif isinstance(layer, Relu):
+            dact = dact * cache
+        elif isinstance(layer, MaxPool2d):
+            in_shape, idx = cache
+            dact = tinynn._maxpool_backward(dact, idx, in_shape, layer.window)
+        elif isinstance(layer, Conv2d):
+            in_shape, cols = cache
+            w = model.weights[i]
+            dmat = dact.reshape(in_shape[0], w.shape[0], -1).transpose(0, 2, 1)
+            grad_w[i] = np.einsum("npo,npk->ok", dmat, cols).reshape(w.shape)
+            grad_b[i] = dact.sum(axis=(0, 2, 3))
+            dcols = dmat @ w.reshape(w.shape[0], -1)
+            dact = tinynn._col2im(dcols, in_shape, layer.kernel_size, layer.stride)
+    return loss, grad_w, grad_b
+
+
+class TestLogitsPath:
+    """forward, predict and batch_loss share one input-to-logits path."""
+
+    def _inputs(self, seed=3, n=12):
+        return np.random.default_rng(seed).uniform(0, 1, (n, 1, 28, 28))  # float64
+
+    @pytest.mark.parametrize("seed", [1, 5, 7])
+    def test_training_equals_reference_step(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        data = LabeledDataset(
+            rng.uniform(0, 1, (40, 1, 28, 28)).astype(np.float32), rng.integers(0, 10, 40), 10
+        )
+        model = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=seed)
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.03, seed=seed)
+        got = tinynn.train(model, data, cfg)
+        monkeypatch.setattr(tinynn, "_loss_and_grads", _reference_loss_and_grads)
+        want = tinynn.train(model, data, cfg)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_predict_is_argmax_of_forward(self):
+        m = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=5)
+        x = self._inputs()
+        probs = tinynn.forward(m, x)
+        assert np.array_equal(tinynn.predict(m, x), probs.argmax(axis=1))
+        assert np.array_equal(tinynn.predict(m, x, restrict_classes=4), probs[:, :4].argmax(axis=1))
+        assert np.array_equal(tinynn.predict(m, x, restrict_classes=10), tinynn.predict(m, x))
+        assert tinynn.predict(m, x[0]) == tinynn.predict(m, x[:1])[0]
+        assert tinynn.forward(m, x[0]).shape == (10,)
+
+    def test_input_cast_to_parameter_dtype(self):
+        m = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=7)
+        x = self._inputs()
+        assert tinynn.forward(m, x).tobytes() == tinynn.forward(m, x.astype(np.float32)).tobytes()
+        assert tinynn._logits(m, x)[0].dtype == np.float32
+        m64 = m.copy()
+        m64.weights = [None if w is None else w.astype(np.float64) for w in m64.weights]
+        m64.biases = [None if b is None else b.astype(np.float64) for b in m64.biases]
+        assert tinynn._logits(m64, x)[0].dtype == np.float64
+        pool = ModelSnapshot((1, 28, 28), (MaxPool2d(7),), [None], [None], 16)
+        assert tinynn._logits(pool, x)[0].dtype == np.float32
+
+    def test_batch_loss_is_the_training_loss(self):
+        m = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=1)
+        x = self._inputs().astype(np.float32)
+        y = np.arange(len(x)) % 10
+        assert tinynn.batch_loss(m, x, y) == tinynn._loss_and_grads(m, x, y)[0]
 
 
 class TestGradientCheck:
@@ -331,6 +419,21 @@ class TestPrune:
             tinynn.global_magnitude_prune(_dense_model(), 1.5)
 
 
+def _tnn_body(num_classes, input_shape, layers, tensors):
+    """A TNN1 file body, checksum excluded, written from the documented
+    layout: each layer is a u8 code followed by its fields as u32; then a
+    weight and a bias tensor for each conv and dense layer, in order."""
+    body = b"TNN1" + struct.pack("<H", 1) + struct.pack("<I", num_classes)
+    body += bytes([len(input_shape)]) + b"".join(struct.pack("<I", d) for d in input_shape)
+    body += struct.pack("<I", len(layers))
+    for code, *values in layers:
+        body += bytes([code]) + b"".join(struct.pack("<I", v) for v in values)
+    for t in tensors:
+        body += bytes([t.ndim]) + b"".join(struct.pack("<I", d) for d in t.shape)
+        body += np.asarray(t, dtype="<f4").tobytes()
+    return body
+
+
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, tmp_path):
         m = _conv_model(seed=9)
@@ -365,6 +468,46 @@ class TestSaveLoad:
         data[4:6] = struct.pack("<H", 9)  # version field
         data += struct.pack("<I", zlib.crc32(bytes(data)) & 0xFFFFFFFF)
         path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            tinynn.load_model(path)
+
+    def test_every_layer_type_matches_documented_layout(self, tmp_path):
+        layers = (Conv2d(4, 3, 2), Relu(), MaxPool2d(2), Dense(3), SoftmaxOutput())
+        m = tinynn.init_model((2, 9, 9), layers, num_classes=3, seed=2)
+        path = tmp_path / "model.tnn"
+        tinynn.save_model(m, path)
+        body = _tnn_body(
+            3, (2, 9, 9), [(1, 4, 3, 2), (3,), (2, 2), (4, 3), (5,)],
+            [m.weights[0], m.biases[0], m.weights[3], m.biases[3]],
+        )
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
+    @pytest.mark.parametrize(
+        "input_shape,layers,tensors",
+        [
+            pytest.param((1, 4, 4), [(2, 0)], [], id="pool-window-0"),
+            pytest.param(
+                (1, 4, 4), [(1, 2, 3, 0)], [np.zeros((2, 1, 3, 3)), np.zeros(2)], id="conv-stride-0"
+            ),
+            pytest.param((4,), [(4, 3), (5,)], [np.zeros((3, 5)), np.zeros(3)], id="dense-weight-shape"),
+            pytest.param((4,), [(4, 3), (5,)], [np.zeros((3, 4)), np.zeros(2)], id="dense-bias-shape"),
+        ],
+    )
+    def test_invalid_model_with_valid_checksum_is_format_error(
+        self, tmp_path, input_shape, layers, tensors
+    ):
+        body = _tnn_body(3, input_shape, layers, tensors)
+        path = tmp_path / "model.tnn"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError):
+            tinynn.load_model(path)
+
+    def test_tensor_size_overflowing_int64_is_format_error(self, tmp_path):
+        # 2**31 * 2**31 * 4 elements is 0 in 64-bit arithmetic
+        body = _tnn_body(3, (4,), [(4, 3), (5,)], [])
+        body += bytes([3]) + struct.pack("<3I", 2**31, 2**31, 4) + bytes(64)
+        path = tmp_path / "model.tnn"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError):
             tinynn.load_model(path)
 
