@@ -12,8 +12,6 @@ from pathlib import Path
 from modelmark import media, synthdata
 from modelmark.errors import ContentTooSimilarError
 
-workdir = Path(tempfile.mkdtemp(prefix="modelmark-demo-"))
-
 # The "shoot a video" stand-in: a 120-frame synthetic sequence whose
 # adjacent frames are correlated, serialized through the Y4M container.
 video = synthdata.texture_video(120, seed=11, style="skyline")
@@ -29,15 +27,17 @@ print(
     f"min pairwise hash distance {triggers.min_distance} bits"
 )
 
-manifest = media.save_trigger_set(triggers, workdir / "alice-triggers", d_min=16)
-print(f"exported to {manifest.parent}")
-print("manifest head:")
-for line in manifest.read_text().splitlines()[:6]:
-    print(f"  {line}")
+with tempfile.TemporaryDirectory(prefix="modelmark-demo-") as tmp:
+    workdir = Path(tmp)
+    manifest = media.save_trigger_set(triggers, workdir / "alice-triggers", d_min=16)
+    print(f"exported to {manifest.parent}")
+    print("manifest head:")
+    for line in manifest.read_text().splitlines()[:6]:
+        print(f"  {line}")
 
-reloaded = media.load_trigger_set(workdir / "alice-triggers")
-assert reloaded.user_id == "Alice" and len(reloaded) == 40
-print("reload with per-image hash verification: ok")
+    reloaded = media.load_trigger_set(workdir / "alice-triggers")
+    assert reloaded.user_id == "Alice" and len(reloaded) == 40
+    print("reload with per-image hash verification: ok")
 
 # Too-similar content is refused outright
 try:

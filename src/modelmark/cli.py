@@ -460,11 +460,11 @@ def _cmd_serve(ws: WorkspaceManifest, args) -> int:
     base = acpt.IdentityBase.load(ws.path("identity_base", args.base))
     bundles = _load_bundles(ws, args.detector)
     service = gateway.serve((host or "127.0.0.1", int(port)), bundles, model, base, seed=args.seed)
-    addr = service.address
-    ws.seeds = {"service": args.seed}
-    _emit("serve", [f"listening on {addr[0]}:{addr[1]}"], {"address": list(addr), **ws.record()})
-    sys.stdout.flush()  # the bound port must reach a piped stdout before any request
-    try:
+    try:  # before the announcement: a client may send SIGINT as soon as it reads it
+        addr = service.address
+        ws.seeds = {"service": args.seed}
+        _emit("serve", [f"listening on {addr[0]}:{addr[1]}"], {"address": list(addr), **ws.record()})
+        sys.stdout.flush()  # the bound port must reach a piped stdout before any request
         service.wait()
     except KeyboardInterrupt:
         pass

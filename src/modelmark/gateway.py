@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import socket
+import socketserver
 import threading
 from dataclasses import dataclass
 
@@ -66,8 +67,14 @@ def request_seed(service_seed: int, request_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class GatewayService:
-    """A running service handle; close() stops accepting and joins threads."""
+class GatewayService(socketserver.ThreadingTCPServer):
+    """A running service, one thread per connection. close() stops accepting
+    without waiting for open connections, which get no further answer."""
+
+    allow_reuse_address = True  # as socket.create_server
+    request_queue_size = 128  # listen()'s own default
+    daemon_threads = True
+    block_on_close = False  # server_close() must not join idle connections
 
     def __init__(
         self,
@@ -81,27 +88,22 @@ class GatewayService:
         self._model = model
         self._base = identity_base
         self._seed = seed
+        self._closing = threading.Event()
         try:
-            self._sock = socket.create_server(bind_address)
+            super().__init__(bind_address, _LineHandler)
         except OSError as exc:
             raise TransportError(f"cannot bind {bind_address}: {exc}") from exc
-        self._closing = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._serve_thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._serve_thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()[:2]
+        return self.server_address[:2]
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for t in self._threads:
-            t.join(timeout=5.0)
+        self.shutdown()
+        self.server_close()
 
     def wait(self) -> None:
         """Block until the service stops accepting (e.g. close() elsewhere).
@@ -110,71 +112,13 @@ class GatewayService:
         otherwise never interrupt an untimed join, and KeyboardInterrupt
         would not reach the caller.
         """
-        while self._accept_thread.is_alive():
-            self._accept_thread.join(timeout=0.2)
-
-    def __enter__(self) -> "GatewayService":
-        return self
+        while self._serve_thread.is_alive():
+            self._serve_thread.join(timeout=0.2)
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     # -- internals -----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, peer = self._sock.accept()
-            except OSError:
-                return
-            logger.debug("connection from %s", peer)
-            t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
-            t.start()
-            self._threads = [x for x in self._threads if x.is_alive()]
-            self._threads.append(t)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        buf = bytearray()
-        try:
-            with conn:
-                while not self._closing.is_set():
-                    nl = buf.find(b"\n")
-                    if nl < 0:
-                        if len(buf) > MAX_LINE_BYTES:
-                            self._send(conn, {"error_code": ERROR_OVERSIZED})
-                            if not self._drain_line(conn, buf):
-                                return
-                            continue
-                        chunk = conn.recv(65536)
-                        if not chunk:
-                            return
-                        buf.extend(chunk)
-                        continue
-                    line = bytes(buf[:nl])
-                    del buf[: nl + 1]
-                    if len(line) > MAX_LINE_BYTES:
-                        self._send(conn, {"error_code": ERROR_OVERSIZED})
-                        continue
-                    self._send(conn, self._handle_line(line))
-        except OSError:
-            logger.debug("connection dropped")
-
-    @staticmethod
-    def _drain_line(conn: socket.socket, buf: bytearray) -> bool:
-        """Discard bytes until the newline terminating an oversized line."""
-        buf.clear()
-        while True:
-            chunk = conn.recv(65536)
-            if not chunk:
-                return False
-            nl = chunk.find(b"\n")
-            if nl >= 0:
-                buf.extend(chunk[nl + 1 :])
-                return True
-
-    @staticmethod
-    def _send(conn: socket.socket, obj: dict) -> None:
-        conn.sendall(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
 
     def _handle_line(self, line: bytes) -> dict:
         try:
@@ -219,6 +163,34 @@ class GatewayService:
         return {"request_id": request_id, "class": cls}
 
 
+class _LineHandler(socketserver.StreamRequestHandler):
+    """Answers one JSON line per request line until the peer closes."""
+
+    rbufsize = 65536  # a typical request line (about 20 KB) in one recv
+
+    def handle(self) -> None:
+        logger.debug("connection from %s", self.client_address)
+        server = self.server
+        try:
+            while True:
+                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if server._closing.is_set():  # also a line that was waiting at close()
+                    return
+                if line.endswith(b"\n"):
+                    reply = server._handle_line(line[:-1])
+                elif len(line) > MAX_LINE_BYTES:
+                    reply = {"error_code": ERROR_OVERSIZED}
+                else:
+                    return  # the peer closed, between lines or mid-line
+                self.wfile.write(json.dumps(reply, separators=(",", ":")).encode("utf-8") + b"\n")
+                while not line.endswith(b"\n"):  # discard the rest of an oversized line
+                    line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                    if not line:
+                        return
+        except OSError:
+            logger.debug("connection dropped")
+
+
 def serve(
     bind_address: tuple[str, int],
     bundles: list[UserKeyBundle],
@@ -235,30 +207,35 @@ def client_infer(
     request: InferRequest,
     timeout: float = 10.0,
 ) -> InferResponse:
-    """One request/response round trip against a running service."""
+    """One request/response round trip against a running service.
+
+    Every failure is a ModelmarkError: TransportError for the connection,
+    RequestRejectedError for an error reply, ProtocolError for anything else.
+    """
     try:
         with socket.create_connection(address, timeout=timeout) as sock:
             sock.sendall(request.to_json().encode("utf-8") + b"\n")
-            buf = bytearray()
-            while b"\n" not in buf:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise ProtocolError("connection closed before a response line")
-                buf.extend(chunk)
-                if len(buf) > MAX_LINE_BYTES:
-                    raise ProtocolError("response line exceeds protocol limit")
+            with sock.makefile("rb") as reader:
+                line = reader.readline(MAX_LINE_BYTES + 1)
     except socket.timeout as exc:
         raise TransportError(f"request timed out after {timeout}s") from exc
     except OSError as exc:
         raise TransportError(f"cannot reach {address}: {exc}") from exc
+    if not line.endswith(b"\n"):
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError("response line exceeds protocol limit")
+        raise ProtocolError("connection closed before a response line")
 
-    line = bytes(buf).split(b"\n", 1)[0]
     try:
         obj = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"unparseable response line: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"response is not a JSON object: {line[:80]!r}")
     if "error_code" in obj:
         raise RequestRejectedError(obj["error_code"], obj.get("request_id"))
     if "class" not in obj or "request_id" not in obj:
         raise ProtocolError(f"response missing fields: {sorted(obj)}")
-    return InferResponse(request_id=obj["request_id"], class_index=int(obj["class"]))
+    if type(obj["class"]) is not int:
+        raise ProtocolError(f"response class is not an integer: {obj['class']!r}")
+    return InferResponse(request_id=obj["request_id"], class_index=obj["class"])

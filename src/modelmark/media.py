@@ -350,7 +350,11 @@ def load_trigger_set(path: str | Path) -> TriggerSet:
             header[key] = value
             continue
         name, _, hex_hash = line.partition(" ")
-        img = parse_image_bytes((root / name).read_bytes())
+        try:
+            raw = (root / name).read_bytes()
+        except OSError as exc:
+            raise FormatError(f"manifest names unreadable image {name}: {exc}") from exc
+        img = parse_image_bytes(raw)
         actual = phash.phash_image(img)
         if actual != phash.from_hex(hex_hash):
             raise FormatError(
@@ -361,8 +365,8 @@ def load_trigger_set(path: str | Path) -> TriggerSet:
         user_id = header["user_id"]
         label = int(header["label"])
         count = int(header["L"])
-    except KeyError as exc:
-        raise FormatError(f"manifest missing field {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"manifest field missing or not an integer: {exc}") from exc
     if count != len(images):
         raise FormatError(f"manifest says L={count} but {len(images)} images listed")
     return TriggerSet(user_id=user_id, images=images, label=label)

@@ -687,6 +687,8 @@ def load_model(path: str | Path) -> ModelSnapshot:
         else:
             weights.append(None)
             biases.append(None)
+    if r.pos != len(body):
+        raise FormatError(f"{len(body) - r.pos} unexpected bytes before the checksum")
     try:
         return ModelSnapshot(
             input_shape=tuple(input_shape),

@@ -180,6 +180,19 @@ class TestPcptFlow:
         assert code == 0
         assert [row["rate"] for row in rec["rows"]] == [0.0, 0.5]
 
+    def test_malformed_trigger_manifest_is_an_error(self, capsys, tmp_path):
+        model = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=0)
+        tinynn.save_model(model, tmp_path / "model.tnn")
+        img = synthdata.key_image_class("rings", 1, seed=3)[0]
+        trig = media.TriggerSet(user_id="Alice", images=[img], label=10)
+        manifest = media.save_trigger_set(trig, tmp_path / "trig", d_min=0)
+        manifest.write_text(manifest.read_text().replace("label=10", "label=x"))
+        code = cli.main(
+            ["trace", "--model", str(tmp_path / "model.tnn"), "--triggers", str(tmp_path / "trig")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestLedgerFlow:
     def test_append_verify_claim_and_tamper(self, workspace, capsys):

@@ -2,12 +2,14 @@
 
 import json
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from modelmark import acpt, gateway, media, synthdata, tinynn
-from modelmark.errors import RequestRejectedError, TransportError
+from modelmark.errors import ProtocolError, RequestRejectedError, TransportError
 from modelmark.gateway import InferRequest, request_seed
 from modelmark.tinynn import Dense, SoftmaxOutput, TrainConfig
 
@@ -183,3 +185,107 @@ class TestWireLevel:
             message = record.getMessage().lower()
             assert "author" not in message
             assert "log-auth" not in message and "log-unauth" not in message
+
+
+class TestLineLimit:
+    LIMIT = 64
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(gateway, "MAX_LINE_BYTES", self.LIMIT)
+
+    @staticmethod
+    def _padded(request_id: str, size: int) -> bytes:
+        """A JSON request line of exactly size bytes before the newline."""
+        body = json.dumps({"request_id": request_id, "credential": "1"}).encode()
+        return body + b" " * (size - len(body))
+
+    def test_oversized_line_then_next_line_answered(self, service):
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            reader = sock.makefile("rb")
+            # the reply comes as soon as the limit is passed, before the line ends
+            sock.sendall(b"x" * (self.LIMIT + 1))
+            assert json.loads(reader.readline()) == {"error_code": "oversized_line"}
+            sock.sendall(b"x" * 3 * self.LIMIT + b"\n" + self._padded("next", 40) + b"\n")
+            reply = json.loads(reader.readline())
+            assert reply == {"request_id": "next", "error_code": "bad_request"}
+
+    def test_line_of_exactly_the_limit_is_answered(self, service):
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(self._padded("exact", self.LIMIT) + b"\n")
+            reply = json.loads(reader.readline())
+            assert reply == {"request_id": "exact", "error_code": "bad_request"}
+            sock.sendall(self._padded("over", self.LIMIT + 1) + b"\n")
+            assert json.loads(reader.readline()) == {"error_code": "oversized_line"}
+
+
+class TestClose:
+    @pytest.fixture
+    def idle_pair(self, world):
+        svc = gateway.serve(("127.0.0.1", 0), world["bundles"], world["model"], world["base"])
+        conns = [socket.create_connection(svc.address, timeout=5.0) for _ in range(2)]
+        for conn in conns:  # one answered line each, so both are being served
+            conn.sendall(b"[]\n")
+            assert conn.makefile("rb").readline() == b'{"error_code":"bad_request"}\n'
+        yield svc, conns
+        svc.close()
+        for conn in conns:
+            conn.close()
+
+    def test_close_does_not_wait_for_idle_connections(self, idle_pair):
+        svc, _ = idle_pair
+        start = time.monotonic()
+        svc.close()
+        assert time.monotonic() - start < 1.0
+        svc.wait()  # returns at once: the service no longer accepts
+
+    def test_no_reply_after_close(self, idle_pair):
+        svc, conns = idle_pair
+        svc.close()
+        conns[0].sendall(b"[]\n")
+        assert conns[0].recv(100) == b""
+
+
+class _OneShotServer:
+    """Accepts one connection, reads one line, answers with fixed bytes."""
+
+    def __init__(self, reply: bytes):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.thread = threading.Thread(target=self._answer, args=(reply,), daemon=True)
+        self.thread.start()
+
+    def _answer(self, reply: bytes) -> None:
+        conn, _ = self.sock.accept()
+        with conn:
+            conn.makefile("rb").readline()
+            conn.sendall(reply)
+
+    def close(self) -> None:
+        self.thread.join(timeout=5.0)
+        self.sock.close()
+
+
+class TestClientErrors:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"5\n",
+            b"[]\n",
+            b"not json\n",
+            b"\xff\n",
+            b'{"request_id":"a"}\n',
+            b'{"request_id":"a","class":"x"}\n',
+            b'{"request_id":"a","class":1.5}\n',
+            b'{"request_id":"a","class":true}\n',
+            b'{"request_id":"a","cla',
+            b"",
+        ],
+    )
+    def test_bad_response_is_protocol_error(self, world, reply):
+        server = _OneShotServer(reply)
+        try:
+            with pytest.raises(ProtocolError):
+                gateway.client_infer(server.sock.getsockname(), _request(world, "a"), timeout=5.0)
+        finally:
+            server.close()

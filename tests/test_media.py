@@ -267,6 +267,30 @@ class TestSelectTriggers:
         with pytest.raises(FormatError, match="hash"):
             media.load_trigger_set(tmp_path / "t")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda d: _replace_in_manifest(d, "label=3", "label=x"), id="label-not-integer"
+            ),
+            pytest.param(lambda d: (d / "0001.ppm").unlink(), id="image-missing"),
+        ],
+    )
+    def test_malformed_trigger_directory_is_format_error(self, tmp_path, edit):
+        frames = [_frame_with_bits(s) for s in _FIXTURE_SETS[:2]]
+        ts = media.TriggerSet(user_id="u", images=frames, label=3)
+        media.save_trigger_set(ts, tmp_path / "t", d_min=0)
+        edit(tmp_path / "t")
+        with pytest.raises(FormatError):
+            media.load_trigger_set(tmp_path / "t")
+
+
+def _replace_in_manifest(root, old, new):
+    manifest = root / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new))
+
 
 # --------------------------------------------------------------------------
 # Metrics

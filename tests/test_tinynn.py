@@ -511,6 +511,14 @@ class TestSaveLoad:
         with pytest.raises(FormatError):
             tinynn.load_model(path)
 
+    def test_bytes_before_checksum_are_format_error(self, tmp_path):
+        path = tmp_path / "model.tnn"
+        tinynn.save_model(_dense_model(), path)
+        body = path.read_bytes()[:-4] + bytes(4)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="before the checksum"):
+            tinynn.load_model(path)
+
     def test_bad_magic_is_format_error(self, tmp_path):
         import zlib
 
