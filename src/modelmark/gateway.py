@@ -31,6 +31,8 @@ from .tinynn import ModelSnapshot
 logger = logging.getLogger(__name__)
 
 MAX_LINE_BYTES = 8 * 1024 * 1024
+# serve_forever's poll: shutdown() waits for the next one, so close() takes up to this long
+_POLL_SECONDS = 0.05
 
 ERROR_BAD_REQUEST = "bad_request"
 ERROR_OVERSIZED = "oversized_line"
@@ -93,7 +95,9 @@ class GatewayService(socketserver.ThreadingTCPServer):
             super().__init__(bind_address, _LineHandler)
         except OSError as exc:
             raise TransportError(f"cannot bind {bind_address}: {exc}") from exc
-        self._serve_thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._serve_thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": _POLL_SECONDS}, daemon=True
+        )
         self._serve_thread.start()
 
     @property

@@ -5,6 +5,14 @@ the SHA-256 of its predecessor's exact line bytes, and a sidecar head file
 pins the digest of the final line so edits anywhere in the store, including
 the last record, are detectable. Competing claims over the same fingerprint
 resolve to the earliest (lowest-seq) record.
+
+`verify_chain` and `earliest_claim` read the file once and check every
+record. `append` checks again only what it has not seen: each store instance
+remembers the length and SHA-256 of the file bytes it last found well
+chained, and while the file still starts with exactly those bytes, only the
+lines after them are parsed and chained. Any other file is checked whole.
+The head is re-read and compared on every call, and then overwritten in
+place (see `OwnershipLedger.append`).
 """
 
 from __future__ import annotations
@@ -63,8 +71,28 @@ def _line_digest(line: bytes) -> str:
     return hashlib.sha256(line).hexdigest()
 
 
+def _split_lines(data: bytes) -> list[bytes]:
+    if not data:
+        return []
+    return data.split(b"\n")[:-1] if data.endswith(b"\n") else data.split(b"\n")
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@dataclass(frozen=True)
+class _Verified:
+    """What one scan found about the first `size` bytes of the ledger file."""
+
+    size: int = 0
+    sha256: bytes = hashlib.sha256(b"").digest()
+    count: int = 0  # records in those bytes
+    tail: str = GENESIS_DIGEST  # digest of the last record's line
+    timestamp: str = ""  # of the last record
+
+
+_NOTHING_VERIFIED = _Verified()
 
 
 class OwnershipLedger:
@@ -73,23 +101,14 @@ class OwnershipLedger:
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self.head_path = Path(str(path) + ".head")
+        self._verified = _NOTHING_VERIFIED
 
     # -- reading ------------------------------------------------------------
 
-    def _raw_lines(self) -> list[bytes]:
-        if not self.path.exists():
-            return []
-        data = self.path.read_bytes()
-        if not data:
-            return []
-        return data.split(b"\n")[:-1] if data.endswith(b"\n") else data.split(b"\n")
-
     def records(self) -> list[LedgerRecord]:
         """Parse every record; raises CorruptionError on malformed lines."""
-        out = []
-        for i, line in enumerate(self._raw_lines()):
-            out.append(self._parse_line(i + 1, line))
-        return out
+        data = self.path.read_bytes() if self.path.exists() else b""
+        return [self._parse_line(i + 1, line) for i, line in enumerate(_split_lines(data))]
 
     @staticmethod
     def _parse_line(seq: int, line: bytes) -> LedgerRecord:
@@ -117,6 +136,55 @@ class OwnershipLedger:
 
     # -- verification ---------------------------------------------------------
 
+    def _scan(
+        self, known: _Verified = _NOTHING_VERIFIED
+    ) -> tuple[int | None, _Verified, list[LedgerRecord]]:
+        """Read the file and the head once, and check the chain past `known`.
+
+        `known` is trusted only while the file still starts with the bytes it
+        describes. Returns the seq of the first bad record (None when intact),
+        the state of the whole file, and the records parsed. An intact file
+        that ends with a line break is remembered for the next `append`.
+        """
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        view = memoryview(data)
+        hasher = hashlib.sha256(view[: known.size])
+        if known.size > len(data) or hasher.digest() != known.sha256:
+            known, hasher = _NOTHING_VERIFIED, hashlib.sha256()
+        hasher.update(view[known.size :])
+        seq, prev, timestamp = known.count, known.tail, known.timestamp
+        records = []
+        bad = None
+        for line in _split_lines(data[known.size :]):
+            seq += 1
+            try:
+                record = self._parse_line(seq, line)
+            except CorruptionError:
+                bad = seq
+                break
+            if record.prev_digest != prev:
+                bad = seq
+                break
+            records.append(record)
+            prev, timestamp = _line_digest(line), record.timestamp
+        else:
+            try:
+                head = self.head_path.read_bytes()
+            except FileNotFoundError:
+                head = None
+            if seq == 0:
+                # a head sidecar without records means the store was emptied
+                bad = None if head is None else 1
+            elif head is None or head.strip() != prev.encode("ascii"):
+                bad = seq
+        state = _Verified(len(data), hasher.digest(), seq, prev, timestamp)
+        intact = bad is None and data.endswith(b"\n")
+        self._verified = state if intact else _NOTHING_VERIFIED
+        return bad, state, records
+
     def verify_chain(self) -> int | None:
         """Return None when intact, else the seq of the first bad record.
 
@@ -124,26 +192,7 @@ class OwnershipLedger:
         recomputed digest of its predecessor's line bytes, and the final
         line against the sidecar head digest.
         """
-        lines = self._raw_lines()
-        if not lines:
-            # a head sidecar without records means the store was emptied
-            return 1 if self.head_path.exists() else None
-        prev = GENESIS_DIGEST
-        for i, line in enumerate(lines):
-            seq = i + 1
-            try:
-                record = self._parse_line(seq, line)
-            except CorruptionError:
-                return seq
-            if record.prev_digest != prev:
-                return seq
-            prev = _line_digest(line)
-        if not self.head_path.exists():
-            return len(lines)
-        head = self.head_path.read_text(encoding="utf-8").strip()
-        if head != prev:
-            return len(lines)
-        return None
+        return self._scan()[0]
 
     # -- writing --------------------------------------------------------------
 
@@ -152,25 +201,19 @@ class OwnershipLedger:
         p_hex = phash.to_hex(p) if isinstance(p, int) else p
         if not _P_HEX.match(p_hex):
             raise InvalidInputError(f"p must be 16 lowercase hex characters, got {p_hex!r}")
-        bad = self.verify_chain()
+        bad, state, _ = self._scan(self._verified)
         if bad is not None:
             raise CorruptionError(f"ledger fails chain verification at record {bad}")
 
-        lines = self._raw_lines()
-        prev = _line_digest(lines[-1]) if lines else GENESIS_DIGEST
         now = _utc_now()
-        if lines:
-            last = self._parse_line(len(lines), lines[-1])
-            if now < last.timestamp:
-                raise ClockSkewError(
-                    f"clock {now} is earlier than last record at {last.timestamp}"
-                )
+        if state.count and now < state.timestamp:
+            raise ClockSkewError(f"clock {now} is earlier than last record at {state.timestamp}")
         record = LedgerRecord(
-            seq=len(lines) + 1,
+            seq=state.count + 1,
             timestamp=now,
             owner_id=owner_id,
             p_hex=p_hex,
-            prev_digest=prev,
+            prev_digest=state.tail,
             note=note,
         )
         line = record.canonical_line()
@@ -178,8 +221,14 @@ class OwnershipLedger:
             fh.write(line + b"\n")
             fh.flush()
             os.fsync(fh.fileno())
-        with open(self.head_path, "wb") as fh:
-            fh.write((_line_digest(line) + "\n").encode("ascii"))
+        # Overwrite in place: truncating the head frees its block, which costs
+        # a synchronous discard on some file systems, and a crash after the
+        # truncation would leave an empty head.
+        head = (_line_digest(line) + "\n").encode("ascii")
+        with open(os.open(self.head_path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
+            fh.write(head)
+            if os.fstat(fh.fileno()).st_size > len(head):
+                fh.truncate()
             fh.flush()
             os.fsync(fh.fileno())
         return record
@@ -189,13 +238,10 @@ class OwnershipLedger:
     def earliest_claim(self, p: int | str) -> LedgerRecord | None:
         """Lowest-seq record storing this fingerprint, or None."""
         p_hex = phash.to_hex(p) if isinstance(p, int) else p
-        bad = self.verify_chain()
+        bad, _, records = self._scan()
         if bad is not None:
             raise CorruptionError(f"ledger fails chain verification at record {bad}")
-        for record in self.records():
-            if record.p_hex == p_hex:
-                return record
-        return None
+        return next((record for record in records if record.p_hex == p_hex), None)
 
     def verify_ownership(
         self, trigger_img: np.ndarray, owner_fp_img: np.ndarray

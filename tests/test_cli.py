@@ -235,6 +235,17 @@ class TestLedgerFlow:
         assert code == 1
         assert rec["first_bad_seq"] in (1, 2)
 
+    def test_verify_reports_a_non_utf8_head(self, tmp_path, capsys):
+        ledger_path = tmp_path / "owner.ndjson"
+        for p_hex in ("00112233445566ff", "00112233445566fe"):
+            run_cli(capsys, ["ledger", "append", "--ledger", str(ledger_path),
+                             "--owner", "Owner", "--p-hex", p_hex])
+        (tmp_path / "owner.ndjson.head").write_bytes(b"\xff" * 65)
+        code, lines, rec = run_cli(capsys, ["ledger", "verify", "--ledger", str(ledger_path)])
+        assert code == 1
+        assert "chain broken at record 2" in lines
+        assert rec["ok"] is False and rec["first_bad_seq"] == 2
+
 
 class TestAcptFlow:
     def test_credential_enroll_detector_trace(self, workspace, capsys):

@@ -240,6 +240,12 @@ class TestClose:
         assert time.monotonic() - start < 1.0
         svc.wait()  # returns at once: the service no longer accepts
 
+    def test_close_of_an_idle_service_is_prompt(self, world):
+        start = time.monotonic()
+        for _ in range(5):
+            gateway.serve(("127.0.0.1", 0), world["bundles"], world["model"], world["base"]).close()
+        assert time.monotonic() - start < 0.5
+
     def test_no_reply_after_close(self, idle_pair):
         svc, conns = idle_pair
         svc.close()

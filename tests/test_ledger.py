@@ -1,7 +1,9 @@
 """Ownership ledger: chain construction, tamper evidence, claim resolution."""
 
+import builtins
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from modelmark import phash
 from modelmark.errors import ClockSkewError, CorruptionError
 from modelmark.ledger import GENESIS_DIGEST, OwnershipLedger, fingerprint_bind
+
+FIXED_NOW = "2025-06-01T12:00:00Z"
 
 
 def _img(seed: int) -> np.ndarray:
@@ -151,3 +155,159 @@ class TestVerifyOwnership:
         store.path.write_bytes(bytes(data))
         with pytest.raises(CorruptionError):
             store.verify_ownership(_img(13), _img(14))
+
+
+def _chain_line(seq: int, owner: str, p_hex: str, prev: str, note: str) -> bytes:
+    """One record as the file format defines it, built without the module."""
+    obj = {"seq": seq, "timestamp": FIXED_NOW, "owner_id": owner, "p_hex": p_hex,
+           "prev_digest": prev, "note": note}
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def _count_parses(monkeypatch) -> list:
+    calls = []
+    parse = OwnershipLedger._parse_line
+
+    def counting(seq, line):
+        calls.append(seq)
+        return parse(seq, line)
+
+    monkeypatch.setattr(OwnershipLedger, "_parse_line", staticmethod(counting))
+    return calls
+
+
+class TestIncrementalAppend:
+    """append re-parses only the bytes it has not yet seen, and stays sound."""
+
+    def _store(self, tmp_path, monkeypatch, n=6):
+        monkeypatch.setattr("modelmark.ledger._utc_now", lambda: FIXED_NOW)
+        store = OwnershipLedger(tmp_path / "chain.ndjson")
+        for i in range(n):
+            store.append("Owner", i, note=f"record {i}")
+        return store
+
+    def test_bytes_match_an_independent_reference_chain(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path, monkeypatch, n=0)
+        prev, expected = GENESIS_DIGEST, b""
+        for i in range(7):
+            owner, note = f"owner{i % 3}", f"Zoë's trigger {i}"
+            store.append(owner, 0x0123456789ABCDE0 + i, note=note)
+            line = _chain_line(i + 1, owner, format(0x0123456789ABCDE0 + i, "016x"), prev, note)
+            expected += line + b"\n"
+            prev = hashlib.sha256(line).hexdigest()
+        assert store.path.read_bytes() == expected
+        assert store.head_path.read_bytes() == (prev + "\n").encode("ascii")
+
+    def test_second_append_parses_only_the_new_line(self, tmp_path, monkeypatch):
+        store = OwnershipLedger(self._store(tmp_path, monkeypatch, n=5).path)
+        store.append("Owner", 5)
+        calls = _count_parses(monkeypatch)
+        store.append("Owner", 6)
+        assert calls == [6]
+
+    def test_claim_parses_each_line_once(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path, monkeypatch, n=6)
+        calls = _count_parses(monkeypatch)
+        assert OwnershipLedger(store.path).earliest_claim(3).seq == 4
+        assert calls == [1, 2, 3, 4, 5, 6]
+
+    def test_foreign_record_is_chained_onto(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path, monkeypatch, n=3)
+        prev = hashlib.sha256(store.path.read_bytes().splitlines()[-1]).hexdigest()
+        foreign = _chain_line(4, "Other", "00000000000000ff", prev, "another writer")
+        with open(store.path, "ab") as fh:
+            fh.write(foreign + b"\n")
+        store.head_path.write_text(hashlib.sha256(foreign).hexdigest() + "\n")
+        record = store.append("Owner", 9)
+        assert record.seq == 5
+        assert record.prev_digest == hashlib.sha256(foreign).hexdigest()
+        assert OwnershipLedger(store.path).verify_chain() is None
+
+    def test_badly_chained_foreign_record_raises(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path, monkeypatch, n=3)
+        foreign = _chain_line(4, "Other", "00000000000000ff", "1" * 64, "another writer")
+        with open(store.path, "ab") as fh:
+            fh.write(foreign + b"\n")
+        store.head_path.write_text(hashlib.sha256(foreign).hexdigest() + "\n")
+        with pytest.raises(CorruptionError, match="record 4"):
+            store.append("Owner", 9)
+
+    def test_head_reset_to_previous_digest_raises(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path, monkeypatch, n=3)
+        previous = store.head_path.read_bytes()
+        store.append("Owner", 9)
+        store.head_path.write_bytes(previous)
+        with pytest.raises(CorruptionError, match="record 4"):
+            store.append("Owner", 10)
+
+    def test_verdict_matches_a_fresh_store(self, tmp_path, monkeypatch):
+        """After an edit, append refuses exactly where a fresh full check fails."""
+        rng = np.random.default_rng(5)
+        for case in range(40):
+            (tmp_path / str(case)).mkdir()
+            store = self._store(tmp_path / str(case), monkeypatch, n=4)
+            data = bytearray(store.path.read_bytes())
+            if case % 4 == 0:
+                data[rng.integers(len(data))] ^= 1 << int(rng.integers(8))
+            elif case % 4 == 1:
+                del data[rng.integers(len(data)) :]
+            elif case % 4 == 2:
+                data += rng.bytes(int(rng.integers(1, 80)))
+            store.path.write_bytes(bytes(data))
+            fresh = OwnershipLedger(store.path).verify_chain()
+            if fresh is None:
+                assert store.append("Owner", 9).seq == 5
+            else:
+                with pytest.raises(CorruptionError, match=f"at record {fresh}$"):
+                    store.append("Owner", 9)
+
+
+class TestHeadSidecar:
+    def _store(self, tmp_path, n=3):
+        store = OwnershipLedger(tmp_path / "chain.ndjson")
+        for i in range(n):
+            store.append("Owner", i)
+        return store
+
+    def test_head_of_65_bytes_is_never_truncated(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        head = str(store.head_path)
+        inode = os.stat(head).st_ino
+        truncating = []
+        real_open, real_os_open = builtins.open, os.open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if str(file) == head and "w" in mode:
+                truncating.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            if str(path) == head and flags & os.O_TRUNC:
+                truncating.append(flags)
+            return real_os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(os, "open", spy_os_open)
+        store.append("Owner", 9)
+        assert truncating == []
+        assert os.stat(head).st_ino == inode
+        assert len(store.head_path.read_bytes()) == 65
+
+    @pytest.mark.parametrize("ending", [b"", b"\r\n"])
+    def test_odd_head_is_rewritten_to_65_bytes(self, tmp_path, ending):
+        store = self._store(tmp_path)
+        store.head_path.write_bytes(store.head_path.read_bytes().strip() + ending)
+        assert store.verify_chain() is None
+        store.append("Owner", 9)
+        head = store.head_path.read_bytes()
+        assert len(head) == 65 and head.endswith(b"\n")
+        assert OwnershipLedger(store.path).verify_chain() is None
+
+    def test_non_utf8_head_is_a_tamper_at_the_last_record(self, tmp_path):
+        store = self._store(tmp_path)
+        store.head_path.write_bytes(b"\xff" * 65)
+        assert store.verify_chain() == 3
+        with pytest.raises(CorruptionError, match="record 3"):
+            store.append("Owner", 9)
+        with pytest.raises(CorruptionError, match="record 3"):
+            store.earliest_claim(1)
