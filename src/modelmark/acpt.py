@@ -71,6 +71,13 @@ def make_credential(username: str, owner_fp: str, k1) -> Credential:
     return Credential(username=username, encrypted_username=encrypted, k1=k1)
 
 
+def request_seed(seed: int, request_id: str) -> int:
+    """Seed of the random-class stream for one request (a gateway request id,
+    or the user a trace probes as); replays reproduce."""
+    digest = hashlib.sha256(f"{seed}:{request_id}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def credential_bits(encrypted_username: str) -> int:
     """Pack the 8 ASCII bytes into 64 bits, first character most significant."""
     if len(encrypted_username) != CREDENTIAL_LENGTH:
@@ -286,9 +293,7 @@ def trace_acpt(
         if _authorized(bundles, base, encrypted_username, key_image):
             preds = np.argmax(tinynn.forward(model, test.inputs), axis=1)
         else:
-            gen = np.random.default_rng(
-                int.from_bytes(hashlib.sha256(f"{seed}:{user_id}".encode()).digest()[:8], "big")
-            )
+            gen = np.random.default_rng(request_seed(seed, user_id))
             preds = gen.integers(0, model.num_classes, size=len(test))
         accuracy[user_id] = int(np.sum(preds == test.labels)) / len(test)
 

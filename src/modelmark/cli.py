@@ -49,10 +49,11 @@ class WorkspaceManifest:
         return {"paths": self.paths, "seeds": self.seeds, "thresholds": self.thresholds}
 
 
-def _emit(event: str, lines: list[str], record: dict) -> None:
+def _emit(ws: WorkspaceManifest, event: str, lines: list[str], record: dict) -> None:
+    """Print the lines, then the JSON record followed by the workspace record."""
     for line in lines:
         print(line)
-    print(json.dumps({"event": event, **record}, separators=(",", ":")))
+    print(json.dumps({"event": event, **record, **ws.record()}, separators=(",", ":")))
 
 
 def _load_image(ws: WorkspaceManifest, role: str, raw: str) -> np.ndarray:
@@ -71,9 +72,9 @@ def _load_dataset(ws: WorkspaceManifest, images: str, labels: str, role: str) ->
     )
 
 
-def _train_cfg(args, epochs: int | None = None) -> tinynn.TrainConfig:
+def _train_cfg(args) -> tinynn.TrainConfig:
     return tinynn.TrainConfig(
-        epochs=epochs if epochs is not None else args.epochs,
+        epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         momentum=args.momentum,
@@ -110,14 +111,14 @@ def _cmd_phash(ws: WorkspaceManifest, args) -> int:
         h = phash.phash_image(_load_image(ws, raw, raw))
         hashes[raw] = phash.to_hex(h)
         print(f"{raw} {hashes[raw]}")
-    record: dict = {"hashes": hashes, **ws.record()}
+    record: dict = {"hashes": hashes}
     if len(args.images) == 2:
         a, b = (phash.from_hex(hashes[i]) for i in args.images)
         record["hamming"] = phash.hamming(a, b)
         record["xor"] = phash.to_hex(phash.xor(a, b))
         print(f"hamming {record['hamming']}")
         print(f"xor {record['xor']}")
-    _emit("phash", [], record)
+    _emit(ws, "phash", [], record)
     return EXIT_OK
 
 
@@ -132,6 +133,7 @@ def _cmd_frames_select(ws: WorkspaceManifest, args) -> int:
     out = ws.path("out", args.out, must_exist=False)
     media.save_trigger_set(triggers, out, d_min=args.d_min)
     _emit(
+        ws,
         "frames_select",
         [f"selected {len(triggers)} frames, min pairwise distance {triggers.min_distance}"],
         {
@@ -139,7 +141,6 @@ def _cmd_frames_select(ws: WorkspaceManifest, args) -> int:
             "label": args.label,
             "count": len(triggers),
             "min_distance": triggers.min_distance,
-            **ws.record(),
         },
     )
     return EXIT_OK
@@ -155,13 +156,13 @@ def _cmd_train_base(ws: WorkspaceManifest, args) -> int:
     model = tinynn.train(model, data, _train_cfg(args))
     out = ws.path("model_out", args.out, must_exist=False)
     tinynn.save_model(model, out)
-    record: dict = {"classes": data.num_classes, **ws.record()}
+    record: dict = {"classes": data.num_classes}
     lines = [f"trained on {len(data)} items over {args.epochs} epochs"]
     if args.test_images:
         test = _load_dataset(ws, args.test_images, args.test_labels, "test")
         record["test_accuracy"] = tinynn.evaluate(model, test)
         lines.append(f"test accuracy {record['test_accuracy']:.4f}")
-    _emit("train_base", lines, record)
+    _emit(ws, "train_base", lines, record)
     return EXIT_OK
 
 
@@ -176,13 +177,13 @@ def _cmd_embed(ws: WorkspaceManifest, args) -> int:
     out = ws.path("model_out", args.out, must_exist=False)
     tinynn.save_model(result.model, out)
     _emit(
+        ws,
         "embed",
         [f"embedded watermark for {triggers.user_id}; trigger accuracy {result.trigger_accuracy:.4f}"],
         {
             "user_id": triggers.user_id,
             "trigger_accuracy": result.trigger_accuracy,
             "fraction": args.fraction,
-            **ws.record(),
         },
     )
     return EXIT_OK
@@ -217,7 +218,7 @@ def _cmd_trace(ws: WorkspaceManifest, args) -> int:
     if args.test_images:
         test = _load_dataset(ws, args.test_images, args.test_labels, "test")
     report = pcpt.trace(suspect, trigger_sets, thresholds, test=test)
-    _emit("trace", _trace_lines(report), {**_trace_record(report), **ws.record()})
+    _emit(ws, "trace", _trace_lines(report), _trace_record(report))
     return EXIT_OK if report.verdict != pcpt.TRACEABILITY_FAILURE else EXIT_DOMAIN
 
 
@@ -226,11 +227,7 @@ def _cmd_fidelity(ws: WorkspaceManifest, args) -> int:
     watermarked = tinynn.load_model(ws.path("watermarked", args.watermarked))
     test = _load_dataset(ws, args.test_images, args.test_labels, "test")
     delta = pcpt.fidelity_report(base, watermarked, test)
-    _emit(
-        "fidelity",
-        [f"accuracy drop {delta:+.4f}"],
-        {"accuracy_delta": delta, **ws.record()},
-    )
+    _emit(ws, "fidelity", [f"accuracy drop {delta:+.4f}"], {"accuracy_delta": delta})
     return EXIT_OK
 
 
@@ -246,9 +243,10 @@ def _cmd_attack_finetune(ws: WorkspaceManifest, args) -> int:
     if args.out:
         tinynn.save_model(attacked, ws.path("model_out", args.out, must_exist=False))
     _emit(
+        ws,
         "attack_finetune",
         _trace_lines(report),
-        {**_trace_record(report), "epochs": args.epochs, **ws.record()},
+        {**_trace_record(report), "epochs": args.epochs},
     )
     return EXIT_OK
 
@@ -271,6 +269,7 @@ def _cmd_attack_prune(ws: WorkspaceManifest, args) -> int:
         per_user = " ".join(f"T-{u}={a:.3f}" for u, a in row.trigger_accuracy.items())
         lines.append(f"rate={row.rate:.2f} T-Original={row.original_accuracy:.4f} {per_user}")
     _emit(
+        ws,
         "attack_prune",
         lines,
         {
@@ -282,7 +281,6 @@ def _cmd_attack_prune(ws: WorkspaceManifest, args) -> int:
                 }
                 for row in rows
             ],
-            **ws.record(),
         },
     )
     return EXIT_OK
@@ -301,9 +299,10 @@ def _cmd_ledger_append(ws: WorkspaceManifest, args) -> int:
         )
     record = store.append(args.owner, p, note=args.note)
     _emit(
+        ws,
         "ledger_append",
         [f"appended seq {record.seq} for {record.owner_id} (P={record.p_hex})"],
-        {"seq": record.seq, "p_hex": record.p_hex, "timestamp": record.timestamp, **ws.record()},
+        {"seq": record.seq, "p_hex": record.p_hex, "timestamp": record.timestamp},
     )
     return EXIT_OK
 
@@ -312,12 +311,13 @@ def _cmd_ledger_verify(ws: WorkspaceManifest, args) -> int:
     store = ledger.OwnershipLedger(ws.path("ledger", args.ledger))
     bad = store.verify_chain()
     if bad is None:
-        _emit("ledger_verify", ["chain ok"], {"ok": True, **ws.record()})
+        _emit(ws, "ledger_verify", ["chain ok"], {"ok": True})
         return EXIT_OK
     _emit(
+        ws,
         "ledger_verify",
         [f"chain broken at record {bad}"],
-        {"ok": False, "first_bad_seq": bad, **ws.record()},
+        {"ok": False, "first_bad_seq": bad},
     )
     return EXIT_DOMAIN
 
@@ -329,9 +329,10 @@ def _cmd_ledger_claim(ws: WorkspaceManifest, args) -> int:
         _load_image(ws, "fingerprint", args.fingerprint),
     )
     if record is None:
-        _emit("ledger_claim", ["no matching record"], {"found": False, **ws.record()})
+        _emit(ws, "ledger_claim", ["no matching record"], {"found": False})
         return EXIT_DOMAIN
     _emit(
+        ws,
         "ledger_claim",
         [f"claim matches seq {record.seq}: {record.owner_id} at {record.timestamp}"],
         {
@@ -339,7 +340,6 @@ def _cmd_ledger_claim(ws: WorkspaceManifest, args) -> int:
             "seq": record.seq,
             "owner_id": record.owner_id,
             "timestamp": record.timestamp,
-            **ws.record(),
         },
     )
     return EXIT_OK
@@ -360,6 +360,7 @@ def _cmd_acpt_credential(ws: WorkspaceManifest, args) -> int:
     ws.seeds = {"k1": args.seed}
     cred = acpt.make_credential(args.username, args.owner_fp, k1)
     _emit(
+        ws,
         "acpt_credential",
         [
             f"encrypted_username {cred.encrypted_username}",
@@ -369,7 +370,6 @@ def _cmd_acpt_credential(ws: WorkspaceManifest, args) -> int:
             "username": cred.username,
             "encrypted_username": cred.encrypted_username,
             "k1": list(cred.k1),
-            **ws.record(),
         },
     )
     return EXIT_OK
@@ -384,13 +384,13 @@ def _cmd_acpt_enroll(ws: WorkspaceManifest, args) -> int:
     base = acpt.enroll(base, cred, key_image, args.user_id)
     base.save(base_path)
     _emit(
+        ws,
         "acpt_enroll",
         [f"enrolled {args.user_id} ({len(base.entries)} entries)"],
         {
             "user_id": args.user_id,
             "encrypted_username": cred.encrypted_username,
             "entries": len(base.entries),
-            **ws.record(),
         },
     )
     return EXIT_OK
@@ -403,9 +403,10 @@ def _cmd_acpt_detector_train(ws: WorkspaceManifest, args) -> int:
     detector = acpt.train_detector(keys, others, _train_cfg(args))
     tinynn.save_model(detector, ws.path("detector_out", args.out, must_exist=False))
     _emit(
+        ws,
         "acpt_detector_train",
         [f"trained detector on {len(keys)} key + {len(others)} other images"],
-        {"key_count": len(keys), "other_count": len(others), **ws.record()},
+        {"key_count": len(keys), "other_count": len(others)},
     )
     return EXIT_OK
 
@@ -447,9 +448,10 @@ def _cmd_acpt_trace(ws: WorkspaceManifest, args) -> int:
     lines = [f"{user}: accuracy {acc:.4f}" for user, acc in report.per_user_accuracy.items()]
     lines.append(f"verdict: {report.verdict}")
     _emit(
+        ws,
         "acpt_trace",
         lines,
-        {"per_user_accuracy": report.per_user_accuracy, "verdict": report.verdict, **ws.record()},
+        {"per_user_accuracy": report.per_user_accuracy, "verdict": report.verdict},
     )
     return EXIT_OK if report.verdict != acpt.INCONCLUSIVE else EXIT_DOMAIN
 
@@ -463,7 +465,7 @@ def _cmd_serve(ws: WorkspaceManifest, args) -> int:
     try:  # before the announcement: a client may send SIGINT as soon as it reads it
         addr = service.address
         ws.seeds = {"service": args.seed}
-        _emit("serve", [f"listening on {addr[0]}:{addr[1]}"], {"address": list(addr), **ws.record()})
+        _emit(ws, "serve", [f"listening on {addr[0]}:{addr[1]}"], {"address": list(addr)})
         sys.stdout.flush()  # the bound port must reach a piped stdout before any request
         service.wait()
     except KeyboardInterrupt:
@@ -480,7 +482,7 @@ def _cmd_metrics(ws: WorkspaceManifest, args) -> int:
         value = media.mse(a, b)
     else:
         value = media.ssim(phash.rgb_to_gray(a), phash.rgb_to_gray(b))
-    _emit(args.metric, [f"{args.metric} {value:.6f}"], {"value": value, **ws.record()})
+    _emit(ws, args.metric, [f"{args.metric} {value:.6f}"], {"value": value})
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ outcomes is logged at default verbosity.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import logging
 import socket
@@ -19,7 +18,7 @@ import threading
 from dataclasses import dataclass
 
 from . import acpt, media
-from .acpt import IdentityBase, UserKeyBundle
+from .acpt import IdentityBase, UserKeyBundle, request_seed
 from .errors import (
     FormatError,
     ProtocolError,
@@ -61,12 +60,6 @@ class InferRequest:
 class InferResponse:
     request_id: str
     class_index: int
-
-
-def request_seed(service_seed: int, request_id: str) -> int:
-    """Per-request seed for the random-class stream; replays reproduce."""
-    digest = hashlib.sha256(f"{service_seed}:{request_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class GatewayService(socketserver.ThreadingTCPServer):

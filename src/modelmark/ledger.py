@@ -3,8 +3,9 @@
 Stands in for the blockchain transaction store: each NDJSON record carries
 the SHA-256 of its predecessor's exact line bytes, and a sidecar head file
 pins the digest of the final line so edits anywhere in the store, including
-the last record, are detectable. Competing claims over the same fingerprint
-resolve to the earliest (lowest-seq) record.
+the last record, are detectable. Every record line ends in a newline; bytes
+after the last newline are a bad record. Competing claims over the same
+fingerprint resolve to the earliest (lowest-seq) record.
 
 `verify_chain` and `earliest_claim` read the file once and check every
 record. `append` checks again only what it has not seen: each store instance
@@ -71,10 +72,10 @@ def _line_digest(line: bytes) -> str:
     return hashlib.sha256(line).hexdigest()
 
 
-def _split_lines(data: bytes) -> list[bytes]:
-    if not data:
-        return []
-    return data.split(b"\n")[:-1] if data.endswith(b"\n") else data.split(b"\n")
+def _split_records(data: bytes) -> tuple[list[bytes], bytes]:
+    """Record lines without their newlines, and the bytes after the last newline."""
+    *lines, rest = data.split(b"\n")
+    return lines, rest
 
 
 def _utc_now() -> str:
@@ -108,7 +109,10 @@ class OwnershipLedger:
     def records(self) -> list[LedgerRecord]:
         """Parse every record; raises CorruptionError on malformed lines."""
         data = self.path.read_bytes() if self.path.exists() else b""
-        return [self._parse_line(i + 1, line) for i, line in enumerate(_split_lines(data))]
+        lines, rest = _split_records(data)
+        if rest:
+            raise CorruptionError(f"record {len(lines) + 1}: line has no terminating newline")
+        return [self._parse_line(i + 1, line) for i, line in enumerate(lines)]
 
     @staticmethod
     def _parse_line(seq: int, line: bytes) -> LedgerRecord:
@@ -144,7 +148,7 @@ class OwnershipLedger:
         `known` is trusted only while the file still starts with the bytes it
         describes. Returns the seq of the first bad record (None when intact),
         the state of the whole file, and the records parsed. An intact file
-        that ends with a line break is remembered for the next `append`.
+        is remembered for the next `append`.
         """
         try:
             data = self.path.read_bytes()
@@ -158,7 +162,8 @@ class OwnershipLedger:
         seq, prev, timestamp = known.count, known.tail, known.timestamp
         records = []
         bad = None
-        for line in _split_lines(data[known.size :]):
+        lines, rest = _split_records(data[known.size :])
+        for line in lines:
             seq += 1
             try:
                 record = self._parse_line(seq, line)
@@ -175,14 +180,15 @@ class OwnershipLedger:
                 head = self.head_path.read_bytes()
             except FileNotFoundError:
                 head = None
-            if seq == 0:
+            if rest:
+                bad = seq + 1
+            elif seq == 0:
                 # a head sidecar without records means the store was emptied
                 bad = None if head is None else 1
             elif head is None or head.strip() != prev.encode("ascii"):
                 bad = seq
         state = _Verified(len(data), hasher.digest(), seq, prev, timestamp)
-        intact = bad is None and data.endswith(b"\n")
-        self._verified = state if intact else _NOTHING_VERIFIED
+        self._verified = state if bad is None else _NOTHING_VERIFIED
         return bad, state, records
 
     def verify_chain(self) -> int | None:

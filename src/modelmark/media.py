@@ -215,16 +215,6 @@ def write_ppm(rgb: np.ndarray) -> bytes:
     return header + arr.tobytes()
 
 
-def write_pgm(gray: np.ndarray) -> bytes:
-    """Encode a 2-D array as binary PGM (P5, maxval 255)."""
-    arr = np.asarray(gray)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"expected 2-D array, got shape {arr.shape}")
-    arr = np.clip(np.rint(arr.astype(np.float64)), 0, 255).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    return header + arr.tobytes()
-
-
 _NUM_RUN = re.compile(r"\d+")
 
 
@@ -240,7 +230,7 @@ def _natural_key(name: str) -> tuple:
     return tuple(parts)
 
 
-def load_frame_dir(path: str | Path, source_id: str | None = None) -> FrameSequence:
+def load_frame_dir(path: str | Path) -> FrameSequence:
     """Load every PGM/PPM file under a directory, ordered by numeric filename sort."""
     root = Path(path)
     files = [p for p in root.iterdir() if p.suffix.lower() in (".pgm", ".ppm")]
@@ -248,21 +238,12 @@ def load_frame_dir(path: str | Path, source_id: str | None = None) -> FrameSeque
         raise EmptySourceError(f"no PGM/PPM files under {root}")
     files.sort(key=lambda p: _natural_key(p.name))
     frames = [parse_image_bytes(p.read_bytes()) for p in files]
-    return FrameSequence(frames=frames, source_id=source_id or str(root))
+    return FrameSequence(frames=frames, source_id=str(root))
 
 
 # --------------------------------------------------------------------------
 # Trigger selection and export
 # --------------------------------------------------------------------------
-
-def min_pairwise_hamming(hashes: list[int]) -> int:
-    """Smallest Hamming distance over all pairs (64 for fewer than two hashes)."""
-    best = phash.HASH_BITS
-    for i in range(len(hashes)):
-        for j in range(i + 1, len(hashes)):
-            best = min(best, phash.hamming(hashes[i], hashes[j]))
-    return best
-
 
 def select_triggers(
     seq: FrameSequence,
@@ -275,7 +256,9 @@ def select_triggers(
 
     Starts from frame 0 and repeatedly adds the frame maximizing its minimum
     perceptual-hash distance to the chosen set, breaking ties by lower frame
-    index. Fails if the achieved minimum pairwise distance is below d_min.
+    index. The minimum pairwise distance of the set is the smallest distance
+    a frame had to the set when it was added (64 for a single frame). Fails
+    if it is below d_min.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
@@ -289,15 +272,16 @@ def select_triggers(
     # min distance from each candidate to the chosen set so far
     dist = np.array([phash.hamming(h, hashes[0]) for h in hashes], dtype=np.int64)
     dist[0] = -1
+    achieved = phash.HASH_BITS
     while len(chosen) < count:
         nxt = int(np.argmax(dist))  # argmax takes the first (lowest) index on ties
         chosen.append(nxt)
+        achieved = min(achieved, int(dist[nxt]))
         for i, h in enumerate(hashes):
             if dist[i] >= 0:
                 dist[i] = min(dist[i], phash.hamming(h, hashes[nxt]))
         dist[nxt] = -1
 
-    achieved = min_pairwise_hamming([hashes[i] for i in chosen]) if count > 1 else phash.HASH_BITS
     if achieved < d_min:
         raise ContentTooSimilarError(best_distance=achieved, required=d_min)
     return TriggerSet(
@@ -308,7 +292,7 @@ def select_triggers(
     )
 
 
-def save_trigger_set(triggers: TriggerSet, out_dir: str | Path, d_min: int | None = None) -> Path:
+def save_trigger_set(triggers: TriggerSet, out_dir: str | Path, d_min: int) -> Path:
     """Write a trigger set as numbered PPM files plus manifest.txt.
 
     The manifest carries user_id, label, L, d_min and one line per image:
@@ -316,8 +300,6 @@ def save_trigger_set(triggers: TriggerSet, out_dir: str | Path, d_min: int | Non
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    if d_min is None:
-        d_min = triggers.min_distance if triggers.min_distance is not None else 0
     lines = [
         f"user_id={triggers.user_id}",
         f"label={triggers.label}",

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import phash
 from .errors import InvalidInputError
 from .media import FrameSequence
 from .tinynn import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, LabeledDataset
@@ -30,13 +31,18 @@ _GLYPHS = [
     "01110 10001 10001 01111 00001 00010 01100",
 ]
 
+_DIGIT_NOISE = 0.06  # std of the Gaussian pixel noise on [0, 1] digits
+_VIDEO_SIDE = 64  # texture video frames are square
+_FLIPS_PER_FRAME = 18  # cosine-mode signs flipped between adjacent frames
+_KEY_SIDE = 64  # key images are square
+
 
 def _glyph_bitmap(digit: int) -> np.ndarray:
     rows = _GLYPHS[digit].split()
     return np.array([[int(c) for c in row] for row in rows], dtype=np.float64)
 
 
-def synthetic_digits(count: int, seed: int = 0, noise: float = 0.06) -> LabeledDataset:
+def synthetic_digits(count: int, seed: int = 0) -> LabeledDataset:
     """Render `count` jittered, noisy 28x28 digit images over 10 classes.
 
     Classes cycle 0..9 then are shuffled, so any prefix is near-balanced.
@@ -57,7 +63,7 @@ def synthetic_digits(count: int, seed: int = 0, noise: float = 0.06) -> LabeledD
         r0 = 3 + rng.integers(-2, 3)
         c0 = 6 + rng.integers(-2, 3)
         canvas[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block * intensity
-        canvas += rng.normal(0.0, noise, canvas.shape)
+        canvas += rng.normal(0.0, _DIGIT_NOISE, canvas.shape)
         inputs[i, 0] = np.clip(canvas, 0.0, 1.0)
     return LabeledDataset(inputs=inputs, labels=labels.astype(np.int64), num_classes=10)
 
@@ -81,13 +87,7 @@ def write_idx_files(
 # Texture videos (trigger-frame sources)
 # --------------------------------------------------------------------------
 
-def texture_video(
-    frame_count: int,
-    seed: int = 0,
-    style: str = "skyline",
-    size: int = 64,
-    flips_per_frame: int = 18,
-) -> FrameSequence:
+def texture_video(frame_count: int, seed: int = 0, style: str = "skyline") -> FrameSequence:
     """A synthetic video whose adjacent frames are correlated but drift.
 
     Every frame carries a faint full-frame field built from the 63 lowest
@@ -104,7 +104,7 @@ def texture_video(
     if style not in ("skyline", "seabed"):
         raise InvalidInputError(f"unknown style {style!r}")
     rng = np.random.default_rng(seed)
-    axis = (np.arange(size) + 0.5) / size
+    axis = (np.arange(_VIDEO_SIDE) + 0.5) / _VIDEO_SIDE
 
     # Cosine modes covering the 8x8 low-frequency band (DC excluded).
     modes = [(u, v) for u in range(8) for v in range(8) if (u, v) != (0, 0)]
@@ -122,7 +122,7 @@ def texture_video(
 
     frames: list[np.ndarray] = []
     for _ in range(frame_count):
-        signs[rng.choice(len(modes), size=flips_per_frame, replace=False)] *= -1.0
+        signs[rng.choice(len(modes), size=_FLIPS_PER_FRAME, replace=False)] *= -1.0
         field = np.tensordot(signs * rng.uniform(5.0, 7.0, len(modes)), bases, axes=1)
 
         texture_coeffs = 0.7 * texture_coeffs + rng.normal(0.0, 0.7, texture_coeffs.shape)
@@ -156,7 +156,7 @@ def write_y4m(seq: FrameSequence, chroma: str = "C444") -> bytes:
     for frame in seq.frames:
         rgb = frame.astype(np.float64)
         r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
-        y = 0.299 * r + 0.587 * g + 0.114 * b
+        y = phash.rgb_to_gray(rgb)
         cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
         cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
         if chroma == "C420":
@@ -172,7 +172,7 @@ def write_y4m(seq: FrameSequence, chroma: str = "C444") -> bytes:
 # Key-image classes (authorization center)
 # --------------------------------------------------------------------------
 
-def key_image_class(kind: str, count: int, seed: int = 0, size: int = 64) -> list[np.ndarray]:
+def key_image_class(kind: str, count: int, seed: int = 0) -> list[np.ndarray]:
     """Generate one geometric image class.
 
     "rings" are concentric circles, "spots" are scattered round bumps, and
@@ -180,20 +180,20 @@ def key_image_class(kind: str, count: int, seed: int = 0, size: int = 64) -> lis
     negatives.
     """
     rng = np.random.default_rng(seed)
-    yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    yy, xx = np.meshgrid(np.arange(_KEY_SIDE), np.arange(_KEY_SIDE), indexing="ij")
     images: list[np.ndarray] = []
     for _ in range(count):
         if kind == "rings":
-            cx = size / 2 + rng.uniform(-6, 6)
-            cy = size / 2 + rng.uniform(-6, 6)
+            cx = _KEY_SIDE / 2 + rng.uniform(-6, 6)
+            cy = _KEY_SIDE / 2 + rng.uniform(-6, 6)
             period = rng.uniform(7.0, 13.0)
             r = np.hypot(yy - cy, xx - cx)
             gray = 128.0 + 110.0 * np.cos(2 * np.pi * r / period + rng.uniform(0, 2 * np.pi))
             rgb = np.stack([gray, gray * 0.55, gray * 0.45], axis=-1)
         elif kind == "spots":
-            gray = np.full((size, size), 40.0)
+            gray = np.full((_KEY_SIDE, _KEY_SIDE), 40.0)
             for _ in range(rng.integers(4, 8)):
-                cy, cx = rng.uniform(8, size - 8, 2)
+                cy, cx = rng.uniform(8, _KEY_SIDE - 8, 2)
                 sigma = rng.uniform(4.0, 7.5)
                 gray += 190.0 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
             gray = np.clip(gray, 0, 255)
@@ -204,13 +204,13 @@ def key_image_class(kind: str, count: int, seed: int = 0, size: int = 64) -> lis
                 angle = rng.uniform(0, np.pi)
                 freq = rng.uniform(3, 9)
                 gray = 128.0 + 110.0 * np.sin(
-                    2 * np.pi * freq * (xx * np.cos(angle) + yy * np.sin(angle)) / size
+                    2 * np.pi * freq * (xx * np.cos(angle) + yy * np.sin(angle)) / _KEY_SIDE
                 )
             elif variant == 1:  # checkerboard
                 block = int(rng.integers(4, 11))
                 gray = 255.0 * (((yy // block) + (xx // block)) % 2)
             elif variant == 2:  # smoothed noise
-                raw = rng.uniform(0, 255, (size // 4, size // 4))
+                raw = rng.uniform(0, 255, (_KEY_SIDE // 4, _KEY_SIDE // 4))
                 gray = np.kron(raw, np.ones((4, 4)))
             else:  # linear ramp
                 angle = rng.uniform(0, 2 * np.pi)

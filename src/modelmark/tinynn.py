@@ -33,6 +33,8 @@ IDX_LABELS_MAGIC = 0x00000801
 MODEL_MAGIC = b"TNN1"
 MODEL_VERSION = 1
 
+_EVAL_BATCH = 256  # rows per forward pass in evaluate
+
 
 # --------------------------------------------------------------------------
 # Layer descriptors and snapshots
@@ -451,16 +453,13 @@ def predict(model: ModelSnapshot, x: np.ndarray, restrict_classes: int | None = 
 
 
 def evaluate(
-    model: ModelSnapshot,
-    data: LabeledDataset,
-    restrict_classes: int | None = None,
-    batch_size: int = 256,
+    model: ModelSnapshot, data: LabeledDataset, restrict_classes: int | None = None
 ) -> float:
     """Accuracy over a dataset."""
     hits = 0
-    for start in range(0, len(data), batch_size):
-        xb = data.inputs[start : start + batch_size]
-        yb = data.labels[start : start + batch_size]
+    for start in range(0, len(data), _EVAL_BATCH):
+        xb = data.inputs[start : start + _EVAL_BATCH]
+        yb = data.labels[start : start + _EVAL_BATCH]
         hits += int(np.sum(predict(model, xb, restrict_classes) == yb))
     return hits / len(data) if len(data) else 0.0
 
@@ -705,12 +704,11 @@ def load_model(path: str | Path) -> ModelSnapshot:
 # IDX ingestion
 # --------------------------------------------------------------------------
 
-def load_idx(
-    images_path: str | Path,
-    labels_path: str | Path,
-    num_classes: int | None = None,
-) -> LabeledDataset:
-    """Parse IDX image/label files into a dataset scaled to [0, 1]."""
+def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
+    """Parse IDX image/label files into a dataset scaled to [0, 1].
+
+    The class count is one more than the largest label.
+    """
     img_data = Path(images_path).read_bytes()
     lbl_data = Path(labels_path).read_bytes()
     if len(img_data) < 16 or len(lbl_data) < 8:
@@ -731,6 +729,5 @@ def load_idx(
     pixels = np.frombuffer(img_data[16 : 16 + need], dtype=np.uint8)
     inputs = (pixels.reshape(count, 1, rows, cols).astype(np.float32)) / 255.0
     labels = np.frombuffer(lbl_data[8 : 8 + count], dtype=np.uint8).astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if count else 0
+    num_classes = int(labels.max()) + 1 if count else 0
     return LabeledDataset(inputs=inputs, labels=labels, num_classes=num_classes)

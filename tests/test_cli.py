@@ -1,6 +1,7 @@
 """CLI behavior: subcommand wiring, exit codes, and the machine-readable
 JSON record emitted as the final stdout line."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import modelmark
-from modelmark import acpt, cli, media, synthdata, tinynn
+from modelmark import acpt, cli, gateway, media, synthdata, tinynn
 
 
 def run_cli(capsys, argv):
@@ -302,6 +303,74 @@ class TestAcptFlow:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _leaf_commands(parser: argparse.ArgumentParser, prefix: tuple = ()):
+    """Every runnable subcommand path, e.g. ("ledger", "append")."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, prefix + (name,))
+            return
+    yield prefix
+
+
+class TestRecords:
+    def test_every_subcommand_record_carries_the_workspace(
+        self, workspace, capsys, tmp_path, monkeypatch
+    ):
+        def interrupted(service):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gateway.GatewayService, "wait", interrupted)
+        for kind, folder in (("rings", "keys"), ("other", "others")):
+            (tmp_path / folder).mkdir()
+            for i, img in enumerate(synthdata.key_image_class(kind, 4, seed=5)):
+                (tmp_path / folder / f"{i}.ppm").write_bytes(media.write_ppm(img))
+        ws, out = str(workspace), str(tmp_path)
+        train = ["--train-images", f"{ws}/train-img.idx", "--train-labels", f"{ws}/train-lbl.idx"]
+        test = ["--test-images", f"{ws}/test-img.idx", "--test-labels", f"{ws}/test-lbl.idx"]
+        pair = [f"{ws}/a.ppm", f"{ws}/b.ppm"]
+        trig = ["--triggers", f"{out}/trig"]
+        steps = [
+            (("phash",), pair),
+            (("frames", "select"), ["--video", f"{ws}/alice.y4m", "--count", "4", "--d-min", "0",
+                                    "--user", "Alice", "--label", "10", "--out", f"{out}/trig"]),
+            (("train-base",), [*train, *test, "--epochs", "1", "--out", f"{out}/base.tnn"]),
+            (("embed",), ["--model", f"{out}/base.tnn", *train, *trig, "--epochs", "1",
+                          "--out", f"{out}/alice.tnn"]),
+            (("trace",), ["--model", f"{out}/alice.tnn", *trig]),
+            (("fidelity",), ["--base", f"{out}/base.tnn", "--watermarked", f"{out}/alice.tnn",
+                             *test]),
+            (("attack", "finetune"), ["--model", f"{out}/alice.tnn", *test, *trig,
+                                      "--epochs", "1"]),
+            (("attack", "prune"), ["--model", f"{out}/alice.tnn", *test, *trig, "--rate", "0.5"]),
+            (("ledger", "append"), ["--ledger", f"{out}/l.ndjson", "--owner", "O",
+                                    "--p-hex", "0011223344556677"]),
+            (("ledger", "verify"), ["--ledger", f"{out}/l.ndjson"]),
+            (("ledger", "claim"), ["--ledger", f"{out}/l.ndjson", "--trigger", pair[0],
+                                   "--fingerprint", pair[1]]),
+            (("acpt", "credential"), ["--username", "u", "--owner-fp", "HN"]),
+            (("acpt", "enroll"), ["--base", f"{out}/id.ndjson", "--username", "u", "--owner-fp",
+                                  "HN", "--key-image", pair[0], "--user-id", "Alice"]),
+            (("acpt", "detector-train"), ["--key-dir", f"{out}/keys", "--other-dir",
+                                          f"{out}/others", "--epochs", "1",
+                                          "--out", f"{out}/det.tnn"]),
+            (("acpt", "trace"), ["--model", f"{out}/base.tnn", "--base", f"{out}/id.ndjson",
+                                 "--detector", f"Alice={out}/det.tnn",
+                                 "--probe", f"Alice:00000000:{pair[0]}",
+                                 "--probe", f"Bob:11111111:{pair[1]}", *test]),
+            (("serve",), ["--bind", "127.0.0.1:0", "--model", f"{out}/base.tnn",
+                          "--base", f"{out}/id.ndjson", "--detector", f"Alice={out}/det.tnn"]),
+            (("metrics", "ssim"), pair),
+            (("metrics", "mse"), pair),
+        ]
+        assert sorted(command for command, _ in steps) == sorted(_leaf_commands(cli.build_parser()))
+        for command, args in steps:
+            code, _, record = run_cli(capsys, [*command, *args])
+            assert code in (cli.EXIT_OK, cli.EXIT_DOMAIN), command
+            assert {"event", "paths", "seeds", "thresholds"} <= record.keys(), command
+            assert record["paths"] or command in {("acpt", "credential")}, command
 
 
 def _cli_process(args, stderr_path, *python_flags):

@@ -98,12 +98,18 @@ class TestVerifyChain:
     def test_every_single_byte_flip_detected(self, tmp_path):
         store = self._store(tmp_path, n=4)
         original = store.path.read_bytes()
-        for offset in range(len(original)):
-            data = bytearray(original)
-            data[offset] ^= 0x01
-            store.path.write_bytes(bytes(data))
-            assert store.verify_chain() is not None, f"flip at byte {offset} undetected"
-        store.path.write_bytes(original)
+        # flip and restore each byte in place: a truncating rewrite per flip
+        # costs a synchronous discard on some file systems
+        with open(store.path, "r+b") as fh:
+            for offset in range(len(original)):
+                fh.seek(offset)
+                fh.write(bytes([original[offset] ^ 0x01]))
+                fh.flush()
+                assert store.verify_chain() is not None, f"flip at byte {offset} undetected"
+                fh.seek(offset)
+                fh.write(original[offset : offset + 1])
+                fh.flush()
+        assert store.path.read_bytes() == original
         assert store.verify_chain() is None
 
     def test_truncation_detected(self, tmp_path):
@@ -155,6 +161,44 @@ class TestVerifyOwnership:
         store.path.write_bytes(bytes(data))
         with pytest.raises(CorruptionError):
             store.verify_ownership(_img(13), _img(14))
+
+
+class TestRecordLineEndsInNewline:
+    """A record is a line ending in a newline; bytes after the last newline
+    are a bad record at the next seq, whichever call reads them."""
+
+    def _store(self, tmp_path, edit):
+        store = OwnershipLedger(tmp_path / "chain.ndjson")
+        for i in range(2):
+            store.append("Owner", i)
+        store.path.write_bytes(edit(store.path.read_bytes()))
+        return store
+
+    @pytest.mark.parametrize(
+        "edit, bad",
+        [
+            pytest.param(lambda data: data[:-1], 2, id="last-newline-stripped"),
+            pytest.param(lambda data: data + b'{"seq":3', 3, id="partial-line"),
+        ],
+    )
+    def test_every_reader_reports_the_unterminated_line(self, tmp_path, edit, bad):
+        store = self._store(tmp_path, edit)
+        assert store.verify_chain() == bad
+        assert OwnershipLedger(store.path).verify_chain() == bad
+        with pytest.raises(CorruptionError, match=f"record {bad}"):
+            store.earliest_claim(0)
+        with pytest.raises(CorruptionError, match=f"record {bad}"):
+            store.records()
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["writer", "fresh-store"])
+    def test_append_raises_and_leaves_both_files(self, tmp_path, fresh):
+        store = self._store(tmp_path, lambda data: data[:-1])
+        if fresh:
+            store = OwnershipLedger(store.path)
+        before = store.path.read_bytes(), store.head_path.read_bytes()
+        with pytest.raises(CorruptionError, match="at record 2$"):
+            store.append("Owner", 9)
+        assert (store.path.read_bytes(), store.head_path.read_bytes()) == before
 
 
 def _chain_line(seq: int, owner: str, p_hex: str, prev: str, note: str) -> bytes:

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modelmark import media, phash
+from modelmark import media, phash, synthdata
 from modelmark.errors import (
     ContentTooSimilarError,
     EmptySourceError,
@@ -225,6 +225,15 @@ class TestSelectTriggers:
             hashes[i] for i in sorted(best)
         ]
         assert picked.min_distance == min_pairwise(best)
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 32])
+    def test_min_distance_is_the_pairwise_minimum(self, count):
+        for seed, style in ((0, "skyline"), (1, "seabed"), (2, "skyline")):
+            seq = synthdata.texture_video(40, seed=seed, style=style)
+            picked = media.select_triggers(seq, count, user_id="u", label=10, d_min=0)
+            hashes = [phash.phash_image(img) for img in picked.images]
+            pairwise = [phash.hamming(a, b) for a, b in itertools.combinations(hashes, 2)]
+            assert picked.min_distance == min(pairwise, default=phash.HASH_BITS)
 
     def test_identical_frames_too_similar(self):
         frame = np.full((8, 8, 3), 7, dtype=np.uint8)

@@ -1,6 +1,7 @@
 """Generator sanity: determinism, format round trips, and the statistical
 properties the desk-scale workflows rely on."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -75,3 +76,43 @@ class TestKeyImages:
         again = synthdata.key_image_class("rings", 6, seed=0)
         assert all(np.array_equal(a, b) for a, b in zip(rings, again))
         assert not np.array_equal(rings[0], spots[0])
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenOutput:
+    """Fixed-seed output, byte for byte. The acceptance suite and the
+    benchmark train and trace on these generators, so a digest that moves
+    means their inputs moved."""
+
+    def test_synthetic_digits(self):
+        ds = synthdata.synthetic_digits(40, seed=7)
+        assert _sha256(ds.inputs, ds.labels) == (
+            "56e6a5b351f9a10d95ce03313a8acf9746c7c720d831285ac3fdbdb7d7725645"
+        )
+
+    def test_texture_video_as_y4m(self):
+        skyline = synthdata.write_y4m(synthdata.texture_video(5, seed=3, style="skyline"))
+        seabed = synthdata.write_y4m(
+            synthdata.texture_video(5, seed=4, style="seabed"), chroma="C420"
+        )
+        assert hashlib.sha256(skyline).hexdigest() == (
+            "a1119fd053e44ab3c42adf9e1ce60c829f099a1fb91ed621576a13220378539e"
+        )
+        assert hashlib.sha256(seabed).hexdigest() == (
+            "b099504a621c863be1d0d510cbde2cd422e86f00cfa9d7b403e051a0959f8dce"
+        )
+
+    def test_key_image_class(self):
+        expected = {
+            "rings": "75556efd0ca0ef7ab7df78f80bbbf683140bd94c3ed09f47c9ace16d74f02b14",
+            "spots": "8647699e27071c04cbe85de84324d547c53feb094f3d9417b5efd01ab5cb85a7",
+            "other": "b7a1ffd676758ad49f374ed2f026a13e3d60841a68e5fcd680901539dc728c7f",
+        }
+        for kind, digest in expected.items():
+            assert _sha256(*synthdata.key_image_class(kind, 8, seed=5)) == digest, kind
