@@ -4,6 +4,12 @@
 One JSON object per line in, one per line out. The response carries only a
 class index, byte-for-byte the same shape whether or not the caller was
 authorized, so probing the wire reveals nothing about the control center.
+
+Nor does the time it takes: authorization does the same work on both
+branches, and the service caches each decision per (credential, key image
+bytes) in a table of fixed capacity, for either outcome alike. The first
+request with a key it has not seen costs a full decision on either branch;
+the repeated requests below are served from the cache.
 """
 
 import numpy as np

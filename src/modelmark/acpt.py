@@ -6,6 +6,12 @@ must find XOR(credential bits, key-image perceptual hash) in the enrolled
 identity base. Authorized queries get the true model's prediction;
 everything else gets a seeded uniformly random class, so the response shape
 never betrays which branch ran.
+
+Authorization does constant work: every decision runs the validator and
+exactly one detector forward pass (a decoy detector when no enrolled user
+with a detector here validates), and every answer runs the model forward
+pass and one draw from the seeded stream before the outcome picks one of
+the two. Neither branch skips work the other does.
 """
 
 from __future__ import annotations
@@ -73,8 +79,9 @@ def make_credential(username: str, owner_fp: str, k1) -> Credential:
 
 def request_seed(seed: int, request_id: str) -> int:
     """Seed of the random-class stream for one request (a gateway request id,
-    or the user a trace probes as); replays reproduce."""
-    digest = hashlib.sha256(f"{seed}:{request_id}".encode("utf-8")).digest()
+    or the user a trace probes as); replays reproduce. A lone surrogate,
+    which a JSON string may carry, is hashed as its code unit."""
+    digest = hashlib.sha256(f"{seed}:{request_id}".encode("utf-8", "surrogatepass")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -212,46 +219,63 @@ def detector_accepts(detector: ModelSnapshot, key_image: np.ndarray) -> bool:
     return float(probs[1]) > 0.5
 
 
-def _authorized(
+def decide(
     bundles: list[UserKeyBundle],
     base: IdentityBase,
     encrypted_username: str,
     key_image: np.ndarray,
 ) -> bool:
     """The authorization decision: the validator maps the (credential, key
-    image) pair to some user whose bundle's detector accepts the key image."""
+    image) pair to some user whose bundle's detector accepts the key image.
+
+    The work is the same on both outcomes: the validator, then exactly one
+    detector forward pass. That is the validated user's detector (the first
+    bundle of that user), or the first bundle's as a decoy when no user
+    validates or the validated user has no bundle here.
+    """
+    if not bundles:
+        raise InvalidInputError("need at least one user bundle")
     validated_user = validate(base, encrypted_username, key_image)
-    return validated_user is not None and any(
-        bundle.user_id == validated_user and detector_accepts(bundle.detector, key_image)
-        for bundle in bundles
-    )
+    own = next((bundle for bundle in bundles if bundle.user_id == validated_user), None)
+    accepted = detector_accepts((own or bundles[0]).detector, key_image)
+    return own is not None and accepted
 
 
 def authorize(
     bundles: list[UserKeyBundle],
     base: IdentityBase,
     encrypted_username: str,
-    key_image: np.ndarray,
+    key_image: np.ndarray | None,
     query_input: np.ndarray,
     model: ModelSnapshot,
     rng: int | np.random.Generator,
+    *,
+    decided: bool | None = None,
 ) -> int:
     """Answer one inference request with a class index.
 
     Authorization needs some bundle whose detector accepts the key image
     while the validator maps the same (credential, key image) pair to that
-    bundle's user. Unauthorized queries draw a uniformly random class from
-    the seeded stream; the return type is a bare class index either way.
+    bundle's user; see `decide`, which runs here unless the caller passes
+    the decision it already holds as `decided` (then `key_image` is not
+    read). Unauthorized queries draw a uniformly random class from the
+    seeded stream; the return type is a bare class index either way.
+
+    Both branches do the same work: the model forward pass and one draw
+    from the stream always run, and only then does the decision pick the
+    answer.
     """
     query = np.asarray(query_input)
     if query.shape != model.input_shape:
         raise InvalidInputError(
             f"query shape {query.shape} does not match model input {model.input_shape}"
         )
-    if _authorized(bundles, base, encrypted_username, key_image):
-        return int(np.argmax(tinynn.forward(model, query)))
+    if decided is None:
+        decided = decide(bundles, base, encrypted_username, key_image)
+    predicted = int(np.argmax(tinynn.forward(model, query)))
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    return int(gen.integers(0, model.num_classes))
+    drawn = int(gen.integers(0, model.num_classes))
+    return predicted if decided else drawn
 
 
 @dataclass(frozen=True)
@@ -270,8 +294,8 @@ def trace_acpt(
 ) -> AcptTraceReport:
     """Probe a leaked deployment with every user's (credential, key image).
 
-    Each probe is decided once, as `authorize` would decide each of its
-    queries: an authorized probe labels the whole test set with one batched
+    Each probe is decided once by `decide`, as `authorize` decides each of
+    its queries: an authorized probe labels the whole test set with one batched
     forward pass, an unauthorized one draws every label from that user's
     seeded stream in one call. Accuracies equal those of calling `authorize`
     per test sample with the same stream.
@@ -290,7 +314,7 @@ def trace_acpt(
         )
     accuracy: dict[str, float] = {}
     for user_id, (encrypted_username, key_image) in probes.items():
-        if _authorized(bundles, base, encrypted_username, key_image):
+        if decide(bundles, base, encrypted_username, key_image):
             preds = np.argmax(tinynn.forward(model, test.inputs), axis=1)
         else:
             gen = np.random.default_rng(request_seed(seed, user_id))

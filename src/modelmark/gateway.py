@@ -4,23 +4,36 @@ Clients send one JSON object per line: request_id, 8-character credential,
 and base64 PPM/PGM bytes for the key and query images. The service answers
 with {"request_id", "class"} whether or not the request was authorized; the
 schema never reveals which branch ran, and nothing about authorization
-outcomes is logged at default verbosity.
+outcomes is logged at default verbosity. A malformed request gets
+{"request_id", "error_code": "bad_request"}; a fault in the service itself
+gets "internal_error" and an ERROR log line with the traceback, which names
+neither the request id nor the credential.
+
+Authorization does constant work (see `acpt`), and the service caches each
+decision per (credential, key image bytes) in a least-recently-used table of
+DECISION_CACHE_ENTRIES entries. Both outcomes are stored alike and eviction
+depends on recency alone, so a hit skips the key decode, the perceptual hash
+and the detector on either branch. A request whose key has not been seen
+costs a full decision on either branch.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
 import socket
 import socketserver
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import acpt, media
 from .acpt import IdentityBase, UserKeyBundle, request_seed
 from .errors import (
     FormatError,
+    InvalidInputError,
     ProtocolError,
     RequestRejectedError,
     TransportError,
@@ -33,7 +46,11 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 # serve_forever's poll: shutdown() waits for the next one, so close() takes up to this long
 _POLL_SECONDS = 0.05
 
+# (credential, SHA-256 of the key image's base64 text) -> decision, a few hundred bytes each
+DECISION_CACHE_ENTRIES = 4096
+
 ERROR_BAD_REQUEST = "bad_request"
+ERROR_INTERNAL = "internal_error"
 ERROR_OVERSIZED = "oversized_line"
 
 
@@ -79,10 +96,14 @@ class GatewayService(socketserver.ThreadingTCPServer):
         identity_base: IdentityBase,
         seed: int = 0,
     ):
+        if not bundles:
+            raise InvalidInputError("a gateway needs at least one user bundle")
         self._bundles = list(bundles)
         self._model = model
         self._base = identity_base
         self._seed = seed
+        self._decisions: OrderedDict[tuple[str, bytes], bool] = OrderedDict()
+        self._decisions_lock = threading.Lock()
         self._closing = threading.Event()
         try:
             super().__init__(bind_address, _LineHandler)
@@ -139,25 +160,48 @@ class GatewayService(socketserver.ThreadingTCPServer):
         ):
             return {**rid_part, "error_code": ERROR_BAD_REQUEST}
         try:
-            key_image = media.decode_base64_image(key_b64)
+            decided = self._decide(credential, key_b64)
             query_rgb = media.decode_base64_image(query_b64)
             query_input = media.to_model_input(query_rgb, self._model.input_shape)
-        except FormatError:
-            return {**rid_part, "error_code": ERROR_BAD_REQUEST}
-
-        try:
             cls = acpt.authorize(
                 self._bundles,
                 self._base,
                 credential,
-                key_image,
+                None,
                 query_input,
                 self._model,
                 rng=request_seed(self._seed, request_id),
+                decided=decided,
             )
-        except Exception:
+        except (FormatError, InvalidInputError):
             return {**rid_part, "error_code": ERROR_BAD_REQUEST}
+        except Exception:  # the connection keeps serving; the fault is the service's
+            logger.exception("request failed inside the service")
+            return {**rid_part, "error_code": ERROR_INTERNAL}
         return {"request_id": request_id, "class": cls}
+
+    def _decide(self, credential: str, key_b64: str) -> bool:
+        """The decision for (credential, key image): cached, or made and stored.
+
+        The decision is made outside the lock, so a miss does not hold up
+        other connections; two threads missing on one key both store the
+        same decision.
+        """
+        entry = (credential, hashlib.sha256(key_b64.encode("utf-8", "surrogatepass")).digest())
+        with self._decisions_lock:
+            decided = self._decisions.get(entry)
+            if decided is not None:
+                self._decisions.move_to_end(entry)
+                return decided
+        decided = acpt.decide(
+            self._bundles, self._base, credential, media.decode_base64_image(key_b64)
+        )
+        with self._decisions_lock:
+            self._decisions[entry] = decided
+            self._decisions.move_to_end(entry)
+            while len(self._decisions) > DECISION_CACHE_ENTRIES:
+                self._decisions.popitem(last=False)
+        return decided
 
 
 class _LineHandler(socketserver.StreamRequestHandler):

@@ -630,7 +630,9 @@ class _Reader:
     def tensor(self) -> np.ndarray:
         ndim = self.u8()
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        count = prod(shape)  # a Python int: a numpy product could wrap around to 0
+        if 0 in shape:  # an empty array takes no bytes, yet numpy refuses one whose shape overflows
+            raise FormatError(f"tensor shape {shape} has a zero dimension")
+        count = prod(shape)  # a Python int, so take() refuses any count beyond the bytes left
         return np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape).copy()
 
 

@@ -233,6 +233,70 @@ class TestAuthorize:
             )
 
 
+class TestConstantWork:
+    """Both branches of a decision, and of an answer, do the same work."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        detector, keys, _ = _detector_world(seed=3)
+        alice = acpt.make_credential("user1", "HN", range(8))
+        bob = acpt.make_credential("user2", "HN", range(8))
+        base = acpt.enroll(acpt.IdentityBase(), alice, keys[0], "Alice")
+        base = acpt.enroll(base, bob, keys[1], "Bob")
+        # Carol is first, so hers is the decoy; Bob validates but has no bundle here
+        carol = acpt.UserKeyBundle("Carol", [], detector.copy(), alice)
+        own = acpt.UserKeyBundle("Alice", keys[:4], detector, alice)
+        return {
+            "bundles": [carol, own],
+            "base": base,
+            "model": _brightness_true_model(),
+            "requests": {
+                "authorized": (alice.encrypted_username, keys[0]),
+                "forged credential": ("00000000", keys[0]),
+                "wrong key": (alice.encrypted_username, synthdata.key_image_class("other", 1, seed=77)[0]),
+                "user without a bundle": (bob.encrypted_username, keys[1]),
+            },
+        }
+
+    CASES = ["authorized", "forged credential", "wrong key", "user without a bundle"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_authorize_runs_one_hash_one_detector_one_model(self, world, count_work, case):
+        credential, key = world["requests"][case]
+        query = np.full((1, 4, 4), 0.9, dtype=np.float32)
+        counts = count_work(world["model"])
+        got = acpt.authorize(world["bundles"], world["base"], credential, key, query, world["model"], rng=5)
+        assert (counts["phash"], counts["detector"], counts["model"]) == (1, 1, 1)
+        carol, own = world["bundles"]
+        assert counts["detectors"] == [own.detector if case == "authorized" else carol.detector]
+        if case == "authorized":
+            assert got == 9  # the bright query's true class
+        else:
+            assert got == int(np.random.default_rng(5).integers(0, 10))
+
+    @pytest.mark.parametrize("decided", [True, False])
+    def test_given_decision_skips_the_decision_only(self, world, count_work, decided):
+        query = np.full((1, 4, 4), 0.9, dtype=np.float32)
+        counts = count_work(world["model"])
+        got = acpt.authorize(
+            world["bundles"], world["base"], "00000000", None, query, world["model"], rng=5,
+            decided=decided,
+        )
+        assert (counts["phash"], counts["detector"], counts["model"]) == (0, 0, 1)
+        assert got == (9 if decided else int(np.random.default_rng(5).integers(0, 10)))
+
+    def test_decide_matches_each_case(self, world):
+        outcomes = {
+            case: acpt.decide(world["bundles"], world["base"], *world["requests"][case])
+            for case in self.CASES
+        }
+        assert outcomes == {case: case == "authorized" for case in self.CASES}
+
+    def test_decide_without_bundles_is_invalid_input(self, world):
+        with pytest.raises(InvalidInputError):
+            acpt.decide([], world["base"], *world["requests"]["authorized"])
+
+
 def _leaked_world():
     """A deployment carrying only Bob's authorization center, probed with
     Alice's key (validates, but no bundle of hers) and Bob's (unlocks)."""

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 from modelmark import acpt, gateway, media, synthdata, tinynn
-from modelmark.errors import ProtocolError, RequestRejectedError, TransportError
+from modelmark.errors import (
+    FormatError,
+    InvalidInputError,
+    ProtocolError,
+    RequestRejectedError,
+    TransportError,
+)
 from modelmark.gateway import InferRequest, request_seed
 from modelmark.tinynn import Dense, SoftmaxOutput, TrainConfig
 
@@ -295,3 +302,167 @@ class TestClientErrors:
                 gateway.client_infer(server.sock.getsockname(), _request(world, "a"), timeout=5.0)
         finally:
             server.close()
+
+
+def _line(world, request_id: str, credential: str | None = None, key_image=None) -> bytes:
+    """One request line for GatewayService._handle_line (without its newline)."""
+    return json.dumps(
+        {
+            "request_id": request_id,
+            "credential": credential if credential is not None else world["cred"].encrypted_username,
+            "key_image": media.encode_base64_image(world["key_image"] if key_image is None else key_image),
+            "query_image": media.encode_base64_image(_query_image(230)),
+        }
+    ).encode()
+
+
+def _direct(world, request_id: str, credential: str, key_image) -> int:
+    return acpt.authorize(
+        world["bundles"],
+        world["base"],
+        credential,
+        key_image,
+        media.to_model_input(_query_image(230), world["model"].input_shape),
+        world["model"],
+        rng=request_seed(99, request_id),
+    )
+
+
+@pytest.fixture
+def fresh(world):
+    """A service of its own, so its decision cache starts empty."""
+    svc = gateway.serve(("127.0.0.1", 0), world["bundles"], world["model"], world["base"], seed=99)
+    yield svc
+    svc.close()
+
+
+WRONG_KEY = synthdata.key_image_class("other", 1, seed=77)[0]
+KINDS = {  # request kind -> (credential or None for the user's own, key image or None for the enrolled one)
+    "authorized": (None, None),
+    "forged credential": ("0000abcd", None),
+    "wrong key": (None, WRONG_KEY),
+}
+
+
+class TestDecisionCache:
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_cold_request_decides_once(self, world, fresh, count_work, kind):
+        credential, key = KINDS[kind]
+        counts = count_work(world["model"])
+        fresh._handle_line(_line(world, "cold", credential, key))
+        assert (counts["phash"], counts["detector"], counts["model"]) == (1, 1, 1)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_warm_request_runs_only_the_model(self, world, fresh, count_work, kind):
+        """Both outcomes are cached, and a hit costs the same on either branch."""
+        credential, key = KINDS[kind]
+        fresh._handle_line(_line(world, "warm-up", credential, key))
+        counts = count_work(world["model"])
+        reply = fresh._handle_line(_line(world, "warm", credential, key))
+        assert (counts["phash"], counts["detector"], counts["model"]) == (0, 0, 1)
+        expected = _direct(
+            world, "warm", credential or world["cred"].encrypted_username,
+            world["key_image"] if key is None else key,
+        )
+        assert reply == {"request_id": "warm", "class": expected}
+
+    @pytest.mark.parametrize("oldest", ["authorized", "forged credential"])
+    def test_oldest_entry_evicted_whatever_its_outcome(self, world, fresh, count_work, monkeypatch, oldest):
+        monkeypatch.setattr(gateway, "DECISION_CACHE_ENTRIES", 3)
+        newer = [(f"0000000{i}", None) for i in range(3)]  # capacity + 1 pairs in all
+        for i, (credential, key) in enumerate([KINDS[oldest]] + newer):
+            fresh._handle_line(_line(world, f"fill-{i}", credential, key))
+        counts = count_work(world["model"])
+        for credential, key in newer:
+            fresh._handle_line(_line(world, "again", credential, key))
+        assert counts["detector"] == 0
+        fresh._handle_line(_line(world, "oldest", *KINDS[oldest]))
+        assert counts["detector"] == 1
+
+    def test_eviction_follows_use_not_insertion(self, world, fresh, count_work, monkeypatch):
+        monkeypatch.setattr(gateway, "DECISION_CACHE_ENTRIES", 3)
+        pairs = [(f"0000000{i}", None) for i in range(4)]
+        for i in (0, 1, 2, 0, 3):  # pair 0 is used again, so pair 1 is the least recent
+            fresh._handle_line(_line(world, "fill", *pairs[i]))
+        counts = count_work(world["model"])
+        for i in (0, 2, 3):
+            fresh._handle_line(_line(world, "hit", *pairs[i]))
+        assert counts["detector"] == 0
+        fresh._handle_line(_line(world, "miss", *pairs[1]))
+        assert counts["detector"] == 1
+
+    def test_concurrent_requests_keep_the_cache_bounded_and_answers_exact(self, world, fresh, monkeypatch):
+        """More threads than cores, switching often, over more pairs than fit."""
+        monkeypatch.setattr(gateway, "DECISION_CACHE_ENTRIES", 4)
+        pairs = [(world["cred"].encrypted_username, world["key_image"])]
+        pairs += [(f"0000000{i}", world["key_image"]) for i in range(3)]
+        pairs += [(world["cred"].encrypted_username, WRONG_KEY)] * 2
+        expected = {
+            (i, n): _direct(world, f"t{i}-{n}", *pairs[(i + n) % len(pairs)])
+            for i in range(8)
+            for n in range(12)
+        }
+        got = {}
+
+        def worker(i: int) -> None:
+            for n in range(12):
+                credential, key = pairs[(i + n) % len(pairs)]
+                got[i, n] = fresh._handle_line(_line(world, f"t{i}-{n}", credential, key))["class"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+        assert len(fresh._decisions) <= 4
+
+    def test_service_without_bundles_is_invalid_input(self, world):
+        with pytest.raises(InvalidInputError):
+            gateway.serve(("127.0.0.1", 0), [], world["model"], world["base"])
+
+
+class TestServiceFaults:
+    def test_fault_in_authorize_is_internal_error_logged_without_ids(self, world, fresh, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken authorization")
+
+        monkeypatch.setattr(acpt, "authorize", broken)
+        with caplog.at_level("DEBUG", logger="modelmark.gateway"):
+            reply = fresh._handle_line(_line(world, "fault-rid"))
+        assert reply == {"request_id": "fault-rid", "error_code": "internal_error"}
+        (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert record.exc_info and record.exc_info[0] is RuntimeError
+        assert "fault-rid" not in caplog.text
+        assert world["cred"].encrypted_username not in caplog.text
+
+    @pytest.mark.parametrize("error", [InvalidInputError, FormatError])
+    def test_typed_input_errors_stay_bad_request(self, world, fresh, monkeypatch, caplog, error):
+        def rejecting(*args, **kwargs):
+            raise error("bad input")
+
+        monkeypatch.setattr(acpt, "authorize", rejecting)
+        with caplog.at_level("DEBUG", logger="modelmark.gateway"):
+            reply = fresh._handle_line(_line(world, "typed"))
+        assert reply == {"request_id": "typed", "error_code": "bad_request"}
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_internal_error_over_the_wire(self, world, fresh, monkeypatch):
+        monkeypatch.setattr(acpt, "authorize", lambda *a, **k: 1 / 0)
+        with pytest.raises(RequestRejectedError) as exc:
+            gateway.client_infer(fresh.address, _request(world, "wire-fault"))
+        assert exc.value.error_code == "internal_error"
+        assert exc.value.request_id == "wire-fault"
+
+    def test_lone_surrogate_request_id_is_answered(self, world, fresh):
+        """JSON may escape a lone surrogate; the id still seeds a stream and is echoed."""
+        line = _line(world, "rid").replace(b'"rid"', b'"\\ud800"')
+        reply = fresh._handle_line(line)
+        assert reply["request_id"] == "\ud800"
+        assert reply["class"] == _direct(world, "\ud800", world["cred"].encrypted_username, world["key_image"])

@@ -187,7 +187,7 @@ def _acpt_verdict(monkeypatch, accuracy, n=20):
         k = next(hits)
         return np.eye(2)[[0] * k + [1] * (n - k)]
 
-    monkeypatch.setattr(acpt, "_authorized", lambda *args: True)
+    monkeypatch.setattr(acpt, "decide", lambda *args: True)
     monkeypatch.setattr(tinynn, "forward", forward)
     test = LabeledDataset(np.zeros((n, 1, 1, 1), dtype=np.float32), np.zeros(n, dtype=np.int64), 2)
     model = SimpleNamespace(input_shape=(1, 1, 1), num_classes=2)

@@ -511,6 +511,17 @@ class TestSaveLoad:
         with pytest.raises(FormatError):
             tinynn.load_model(path)
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 2**31, 2**31), (2**32 - 1, 0), (3, 0)], ids=["zero-then-overflow", "overflow-then-zero", "zero"]
+    )
+    def test_zero_dimension_tensor_is_format_error(self, tmp_path, shape):
+        body = _tnn_body(3, (4,), [(4, 3), (5,)], [])
+        body += bytes([len(shape)]) + struct.pack(f"<{len(shape)}I", *shape) + bytes(64)
+        path = tmp_path / "model.tnn"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="zero dimension"):
+            tinynn.load_model(path)
+
     def test_bytes_before_checksum_are_format_error(self, tmp_path):
         path = tmp_path / "model.tnn"
         tinynn.save_model(_dense_model(), path)
