@@ -71,8 +71,11 @@ LayerSpec = Conv2d | MaxPool2d | Relu | Dense | SoftmaxOutput
 
 
 def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -> list[tuple[int, ...]]:
-    """Shape after each layer; raises if the stack does not chain."""
+    """Shape after each layer; raises if the stack does not chain or any
+    shape has a dimension below 1 (TNN1 holds no empty tensor)."""
     shape = tuple(input_shape)
+    if any(d < 1 for d in shape):
+        raise InvalidInputError(f"input shape {shape} has a dimension below 1")
     out = []
     for i, layer in enumerate(layers):
         if isinstance(layer, Conv2d):
@@ -80,8 +83,10 @@ def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -
                 raise InvalidInputError(f"layer {i}: conv2d needs (C, H, W) input, got {shape}")
             c, h, w = shape
             k, s = layer.kernel_size, layer.stride
-            if k < 1 or s < 1:
-                raise InvalidInputError(f"layer {i}: kernel {k} and stride {s} must be >= 1")
+            if k < 1 or s < 1 or layer.out_channels < 1:
+                raise InvalidInputError(
+                    f"layer {i}: {layer.out_channels} channels, kernel {k} or stride {s} below 1"
+                )
             if h < k or w < k:
                 raise InvalidInputError(f"layer {i}: kernel {k} exceeds input {h}x{w}")
             shape = (layer.out_channels, (h - k) // s + 1, (w - k) // s + 1)
@@ -95,6 +100,8 @@ def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -
                 raise InvalidInputError(f"layer {i}: window {layer.window} exceeds input {h}x{w}")
             shape = (c, h // layer.window, w // layer.window)
         elif isinstance(layer, Dense):
+            if layer.out_dim < 1:
+                raise InvalidInputError(f"layer {i}: width {layer.out_dim} below 1")
             shape = (layer.out_dim,)
         elif isinstance(layer, (Relu, SoftmaxOutput)):
             pass

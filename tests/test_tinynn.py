@@ -621,3 +621,16 @@ class TestSnapshotValidation:
                 biases=[np.zeros(3, dtype=np.float32), None],
                 num_classes=3,
             )
+
+    @pytest.mark.parametrize(
+        "input_shape,layers",
+        [
+            pytest.param((4,), (Dense(0), Relu(), Dense(3), SoftmaxOutput()), id="dense-0"),
+            pytest.param((1, 6, 6), (Conv2d(0, 3), Relu(), Dense(3), SoftmaxOutput()), id="conv-0"),
+            pytest.param((0,), (Dense(3), SoftmaxOutput()), id="input-0"),
+        ],
+    )
+    def test_zero_width_is_rejected(self, input_shape, layers):
+        """Such a model would hold a tensor with a zero dimension, which TNN1 refuses."""
+        with pytest.raises(InvalidInputError, match="below 1"):
+            tinynn.init_model(input_shape, layers, num_classes=3, seed=0)
