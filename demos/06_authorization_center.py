@@ -40,9 +40,9 @@ bundle_bob = acpt.UserKeyBundle("Bob", spots[:4], det_bob, cred_bob)
 
 def measure(credential, key_image, n=300, tag=""):
     gen = np.random.default_rng(7)
+    decided = acpt.decide([bundle_alice], base, credential, key_image)
     hits = sum(
-        acpt.authorize([bundle_alice], base, credential, key_image,
-                       test.inputs[i], model, gen) == test.labels[i]
+        acpt.authorize(decided, test.inputs[i], model, gen) == test.labels[i]
         for i in range(n)
     )
     print(f"  {tag}: {hits / n:.1%} accuracy over {n} queries")

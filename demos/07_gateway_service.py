@@ -34,7 +34,7 @@ model = tinynn.train(
     tinynn.TrainConfig(epochs=2, batch_size=64, learning_rate=0.05, seed=1),
 )
 
-service = gateway.serve(("127.0.0.1", 0), [bundle], model, base, seed=99)
+service = gateway.GatewayService(("127.0.0.1", 0), [bundle], model, base, seed=99)
 host, port = service.address
 print(f"gateway listening on {host}:{port}")
 

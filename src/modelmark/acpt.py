@@ -7,11 +7,12 @@ identity base. Authorized queries get the true model's prediction;
 everything else gets a seeded uniformly random class, so the response shape
 never betrays which branch ran.
 
-Authorization does constant work: every decision runs the validator and
-exactly one detector forward pass (a decoy detector when no enrolled user
-with a detector here validates), and every answer runs the model forward
-pass and one draw from the seeded stream before the outcome picks one of
-the two. Neither branch skips work the other does.
+Authorization does constant work: every decision (`decide`) runs the
+validator and exactly one detector forward pass (a decoy detector when no
+enrolled user with a detector here validates), and every answer
+(`authorize`) runs the model forward pass and one draw from the seeded
+stream before the decision picks one of the two. Neither branch skips work
+the other does.
 """
 
 from __future__ import annotations
@@ -227,6 +228,7 @@ def decide(
 ) -> bool:
     """The authorization decision: the validator maps the (credential, key
     image) pair to some user whose bundle's detector accepts the key image.
+    Callers decide here once, then answer with `authorize`.
 
     The work is the same on both outcomes: the validator, then exactly one
     detector forward pass. That is the validated user's detector (the first
@@ -242,24 +244,17 @@ def decide(
 
 
 def authorize(
-    bundles: list[UserKeyBundle],
-    base: IdentityBase,
-    encrypted_username: str,
-    key_image: np.ndarray | None,
+    decided: bool,
     query_input: np.ndarray,
     model: ModelSnapshot,
     rng: int | np.random.Generator,
-    *,
-    decided: bool | None = None,
 ) -> int:
-    """Answer one inference request with a class index.
+    """Answer one inference request with a class index, given its
+    authorization decision (see `decide`).
 
-    Authorization needs some bundle whose detector accepts the key image
-    while the validator maps the same (credential, key image) pair to that
-    bundle's user; see `decide`, which runs here unless the caller passes
-    the decision it already holds as `decided` (then `key_image` is not
-    read). Unauthorized queries draw a uniformly random class from the
-    seeded stream; the return type is a bare class index either way.
+    Authorized queries get the model's prediction; unauthorized ones draw a
+    uniformly random class from the seeded stream. The return type is a
+    bare class index either way.
 
     Both branches do the same work: the model forward pass and one draw
     from the stream always run, and only then does the decision pick the
@@ -270,8 +265,6 @@ def authorize(
         raise InvalidInputError(
             f"query shape {query.shape} does not match model input {model.input_shape}"
         )
-    if decided is None:
-        decided = decide(bundles, base, encrypted_username, key_image)
     predicted = int(np.argmax(tinynn.forward(model, query)))
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
     drawn = int(gen.integers(0, model.num_classes))
@@ -294,11 +287,11 @@ def trace_acpt(
 ) -> AcptTraceReport:
     """Probe a leaked deployment with every user's (credential, key image).
 
-    Each probe is decided once by `decide`, as `authorize` decides each of
-    its queries: an authorized probe labels the whole test set with one batched
-    forward pass, an unauthorized one draws every label from that user's
-    seeded stream in one call. Accuracies equal those of calling `authorize`
-    per test sample with the same stream.
+    Each probe is decided once by `decide`: an authorized probe labels the
+    whole test set with one batched forward pass, an unauthorized one draws
+    every label from that user's seeded stream in one call. Accuracies equal
+    those of calling `authorize` with the probe's decision per test sample
+    with the same stream.
 
     The verdict names the unique user whose probe unlocks accuracy of at
     least TRACE_ACCEPT while every other probe stays at or below

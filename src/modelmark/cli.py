@@ -96,6 +96,28 @@ def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta2", type=float, default=defaults.theta2)
 
 
+def _bind_address(raw: str) -> tuple[str, int]:
+    """HOST:PORT as a (host, port) pair; an empty host is 127.0.0.1."""
+    host, colon, port = raw.rpartition(":")
+    if not colon or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with a port in 0..65535, got {raw!r}")
+    return host or "127.0.0.1", int(port)
+
+
+def _comma_separated(convert, what: str):
+    """An argparse type: a comma-separated list of `what`, empty items skipped."""
+
+    def parse(raw: str) -> list:
+        try:
+            return [convert(token) for token in raw.split(",") if token.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {raw!r}"
+            ) from None
+
+    return parse
+
+
 def _thresholds(ws: WorkspaceManifest, args) -> pcpt.TraceThresholds:
     ws.thresholds = {"theta1": args.theta1, "theta2": args.theta2}
     return pcpt.TraceThresholds(theta1=args.theta1, theta2=args.theta2)
@@ -251,18 +273,14 @@ def _cmd_attack_finetune(ws: WorkspaceManifest, args) -> int:
     return EXIT_OK
 
 
+_DEFAULT_PRUNE_RATES = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
 def _cmd_attack_prune(ws: WorkspaceManifest, args) -> int:
-    if args.rate is None:
-        args.rate = ["0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"]
     model = tinynn.load_model(ws.path("model", args.model))
     test = _load_dataset(ws, args.test_images, args.test_labels, "test")
     trigger_sets = _load_trigger_sets(ws, args.triggers)
-    rates = [
-        float(token)
-        for chunk in args.rate
-        for token in chunk.split(",")
-        if token.strip() != ""
-    ]
+    rates = [rate for chunk in args.rate or [_DEFAULT_PRUNE_RATES] for rate in chunk]
     rows = pcpt.prune_sweep(model, rates, trigger_sets, test)
     lines = []
     for row in rows:
@@ -345,20 +363,15 @@ def _cmd_ledger_claim(ws: WorkspaceManifest, args) -> int:
     return EXIT_OK
 
 
-def _parse_k1(raw: str | None, seed: int) -> tuple[int, ...]:
-    if raw:
-        indices = tuple(int(x) for x in raw.split(","))
-    else:
-        indices = tuple(
-            int(i) for i in np.random.default_rng(seed).choice(64, size=8, replace=False)
-        )
-    return indices
+def _credential(ws: WorkspaceManifest, args) -> acpt.Credential:
+    """The credential from --k1, or from 8 digest positions drawn with --seed."""
+    ws.seeds = {"k1": args.seed}
+    k1 = args.k1 or np.random.default_rng(args.seed).choice(64, size=8, replace=False)
+    return acpt.make_credential(args.username, args.owner_fp, k1)
 
 
 def _cmd_acpt_credential(ws: WorkspaceManifest, args) -> int:
-    k1 = _parse_k1(args.k1, args.seed)
-    ws.seeds = {"k1": args.seed}
-    cred = acpt.make_credential(args.username, args.owner_fp, k1)
+    cred = _credential(ws, args)
     _emit(
         ws,
         "acpt_credential",
@@ -378,8 +391,7 @@ def _cmd_acpt_credential(ws: WorkspaceManifest, args) -> int:
 def _cmd_acpt_enroll(ws: WorkspaceManifest, args) -> int:
     base_path = ws.path("identity_base", args.base, must_exist=False)
     base = acpt.IdentityBase.load(base_path) if base_path.exists() else acpt.IdentityBase()
-    k1 = _parse_k1(args.k1, args.seed)
-    cred = acpt.make_credential(args.username, args.owner_fp, k1)
+    cred = _credential(ws, args)
     key_image = _load_image(ws, "key_image", args.key_image)
     base = acpt.enroll(base, cred, key_image, args.user_id)
     base.save(base_path)
@@ -457,11 +469,10 @@ def _cmd_acpt_trace(ws: WorkspaceManifest, args) -> int:
 
 
 def _cmd_serve(ws: WorkspaceManifest, args) -> int:
-    host, _, port = args.bind.rpartition(":")
     model = tinynn.load_model(ws.path("model", args.model))
     base = acpt.IdentityBase.load(ws.path("identity_base", args.base))
     bundles = _load_bundles(ws, args.detector)
-    service = gateway.serve((host or "127.0.0.1", int(port)), bundles, model, base, seed=args.seed)
+    service = gateway.GatewayService(args.bind, bundles, model, base, seed=args.seed)
     try:  # before the announcement: a client may send SIGINT as soon as it reads it
         addr = service.address
         ws.seeds = {"service": args.seed}
@@ -562,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-labels", required=True)
     p.add_argument("--triggers", action="append", required=True)
     p.add_argument(
-        "--rate", action="append",
-        default=None, help="prune rate, repeatable or comma-separated",
+        "--rate", action="append", type=_comma_separated(float, "numbers"),
+        help="prune rate, repeatable or comma-separated",
     )
     p.set_defaults(handler=_cmd_attack_prune)
 
@@ -591,14 +602,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = acpt_sub.add_parser("credential", help="derive an encrypted username")
     p.add_argument("--username", required=True)
     p.add_argument("--owner-fp", required=True)
-    p.add_argument("--k1", help="8 comma-separated digest positions")
+    p.add_argument(
+        "--k1", type=_comma_separated(int, "integers"), help="8 comma-separated digest positions"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_acpt_credential)
     p = acpt_sub.add_parser("enroll", help="enroll a credential + key image")
     p.add_argument("--base", required=True)
     p.add_argument("--username", required=True)
     p.add_argument("--owner-fp", required=True)
-    p.add_argument("--k1")
+    p.add_argument("--k1", type=_comma_separated(int, "integers"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--key-image", required=True)
     p.add_argument("--user-id", required=True)
@@ -620,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_acpt_trace)
 
     p = sub.add_parser("serve", help="run the authorization gateway")
-    p.add_argument("--bind", required=True, help="HOST:PORT")
+    p.add_argument("--bind", type=_bind_address, required=True, help="HOST:PORT")
     p.add_argument("--model", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--detector", action="append", required=True, help="USER=MODEL_PATH")

@@ -80,8 +80,9 @@ class InferResponse:
 
 
 class GatewayService(socketserver.ThreadingTCPServer):
-    """A running service, one thread per connection. close() stops accepting
-    without waiting for open connections, which get no further answer."""
+    """A running service, one thread per connection: the constructor binds
+    and starts serving. close() stops accepting without waiting for open
+    connections, which get no further answer."""
 
     allow_reuse_address = True  # as socket.create_server
     request_queue_size = 128  # listen()'s own default
@@ -164,14 +165,7 @@ class GatewayService(socketserver.ThreadingTCPServer):
             query_rgb = media.decode_base64_image(query_b64)
             query_input = media.to_model_input(query_rgb, self._model.input_shape)
             cls = acpt.authorize(
-                self._bundles,
-                self._base,
-                credential,
-                None,
-                query_input,
-                self._model,
-                rng=request_seed(self._seed, request_id),
-                decided=decided,
+                decided, query_input, self._model, request_seed(self._seed, request_id)
             )
         except (FormatError, InvalidInputError):
             return {**rid_part, "error_code": ERROR_BAD_REQUEST}
@@ -230,17 +224,6 @@ class _LineHandler(socketserver.StreamRequestHandler):
                         return
         except OSError:
             logger.debug("connection dropped")
-
-
-def serve(
-    bind_address: tuple[str, int],
-    bundles: list[UserKeyBundle],
-    model: ModelSnapshot,
-    identity_base: IdentityBase,
-    seed: int = 0,
-) -> GatewayService:
-    """Start the service; returns a handle with .address and .close()."""
-    return GatewayService(bind_address, bundles, model, identity_base, seed=seed)
 
 
 def client_infer(

@@ -7,11 +7,12 @@ the last record, are detectable. Every record line ends in a newline; bytes
 after the last newline are a bad record. Competing claims over the same
 fingerprint resolve to the earliest (lowest-seq) record.
 
-`verify_chain` and `earliest_claim` read the file once and check every
-record. `append` checks again only what it has not seen: each store instance
-remembers the length and SHA-256 of the file bytes it last found well
-chained, and while the file still starts with exactly those bytes, only the
-lines after them are parsed and chained. Any other file is checked whole.
+`verify_chain`, `records` and `earliest_claim` read the file once and check
+every record; record lines are parsed in that one scan only. `append` checks
+again only what it has not seen: each store instance remembers the length
+and SHA-256 of the file bytes it last found well chained, and while the file
+still starts with exactly those bytes, only the lines after them are parsed
+and chained. Any other file is checked whole.
 The head is re-read and compared on every call, and then overwritten in
 place (see `OwnershipLedger.append`).
 """
@@ -72,12 +73,6 @@ def _line_digest(line: bytes) -> str:
     return hashlib.sha256(line).hexdigest()
 
 
-def _split_records(data: bytes) -> tuple[list[bytes], bytes]:
-    """Record lines without their newlines, and the bytes after the last newline."""
-    *lines, rest = data.split(b"\n")
-    return lines, rest
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -104,15 +99,7 @@ class OwnershipLedger:
         self.head_path = Path(str(path) + ".head")
         self._verified = _NOTHING_VERIFIED
 
-    # -- reading ------------------------------------------------------------
-
-    def records(self) -> list[LedgerRecord]:
-        """Parse every record; raises CorruptionError on malformed lines."""
-        data = self.path.read_bytes() if self.path.exists() else b""
-        lines, rest = _split_records(data)
-        if rest:
-            raise CorruptionError(f"record {len(lines) + 1}: line has no terminating newline")
-        return [self._parse_line(i + 1, line) for i, line in enumerate(lines)]
+    # -- parsing ------------------------------------------------------------
 
     @staticmethod
     def _parse_line(seq: int, line: bytes) -> LedgerRecord:
@@ -162,7 +149,7 @@ class OwnershipLedger:
         seq, prev, timestamp = known.count, known.tail, known.timestamp
         records = []
         bad = None
-        lines, rest = _split_records(data[known.size :])
+        *lines, rest = data[known.size :].split(b"\n")  # rest: bytes after the last newline
         for line in lines:
             seq += 1
             try:
@@ -190,6 +177,14 @@ class OwnershipLedger:
         state = _Verified(len(data), hasher.digest(), seq, prev, timestamp)
         self._verified = state if bad is None else _NOTHING_VERIFIED
         return bad, state, records
+
+    def records(self) -> list[LedgerRecord]:
+        """Every record, once one scan has found the whole chain and the head
+        intact; raises CorruptionError naming the first bad record."""
+        bad, _, records = self._scan()
+        if bad is not None:
+            raise CorruptionError(f"ledger fails chain verification at record {bad}")
+        return records
 
     def verify_chain(self) -> int | None:
         """Return None when intact, else the seq of the first bad record.
@@ -244,10 +239,7 @@ class OwnershipLedger:
     def earliest_claim(self, p: int | str) -> LedgerRecord | None:
         """Lowest-seq record storing this fingerprint, or None."""
         p_hex = phash.to_hex(p) if isinstance(p, int) else p
-        bad, _, records = self._scan()
-        if bad is not None:
-            raise CorruptionError(f"ledger fails chain verification at record {bad}")
-        return next((record for record in records if record.p_hex == p_hex), None)
+        return next((record for record in self.records() if record.p_hex == p_hex), None)
 
     def verify_ownership(
         self, trigger_img: np.ndarray, owner_fp_img: np.ndarray

@@ -108,14 +108,8 @@ def dct_phash(gray32: np.ndarray) -> int:
     mat = _dct_matrix(_SIDE)
     coeffs = (mat @ arr @ mat.T)[:_BLOCK, :_BLOCK]
     ave = coeffs.mean()
-    bits = coeffs > ave
-
-    value = 0
-    for u in range(_BLOCK):
-        for v in range(_BLOCK):
-            if bits[u, v]:
-                value |= 1 << (HASH_BITS - 1 - (u * _BLOCK + v))
-    return value
+    # bit (u, v) is bit 63 - (8u + v): row-major order, first coefficient most significant
+    return int.from_bytes(np.packbits(coeffs > ave).tobytes(), "big")
 
 
 def phash_image(rgb: np.ndarray) -> int:

@@ -320,14 +320,14 @@ def test_criterion_9_authorization_gap(acpt_world, digits):
         n = 1000
         assert n >= 500
         gen = np.random.default_rng(777)
+        denied = acpt.decide(bundles, world["identity_base"], "00000000", key)
         unauthorized = sum(
-            acpt.authorize(bundles, world["identity_base"], "00000000", key,
-                           test.inputs[i], world["model"], gen) == test.labels[i]
+            acpt.authorize(denied, test.inputs[i], world["model"], gen) == test.labels[i]
             for i in range(n)
         ) / n
+        granted = acpt.decide(bundles, world["identity_base"], cred, key)
         authorized = sum(
-            acpt.authorize(bundles, world["identity_base"], cred, key,
-                           test.inputs[i], world["model"], gen) == test.labels[i]
+            acpt.authorize(granted, test.inputs[i], world["model"], gen) == test.labels[i]
             for i in range(n)
         ) / n
         print(f"    unauthorized {unauthorized:.4f}, authorized {authorized:.4f}")
@@ -409,7 +409,7 @@ def test_criterion_14_gateway_loopback_and_schema(acpt_world, digits):
         _, test = digits
         world = acpt_world
         service_seed = 99
-        service = gateway.serve(
+        service = gateway.GatewayService(
             ("127.0.0.1", 0),
             [world["bundles"]["Alice"]],
             world["model"],
@@ -437,10 +437,12 @@ def test_criterion_14_gateway_loopback_and_schema(acpt_world, digits):
                 obj = json.loads(raw)
                 schemas.add(tuple(obj.keys()))
                 direct = acpt.authorize(
-                    [world["bundles"]["Alice"]],
-                    world["identity_base"],
-                    credential,
-                    world["rings"][0],
+                    acpt.decide(
+                        [world["bundles"]["Alice"]],
+                        world["identity_base"],
+                        credential,
+                        world["rings"][0],
+                    ),
                     media.to_model_input(query_rgb, world["model"].input_shape),
                     world["model"],
                     rng=request_seed(service_seed, rid),

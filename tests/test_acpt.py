@@ -186,51 +186,43 @@ class TestAuthorize:
     def test_legitimate_user_gets_true_prediction(self):
         bundles, base, cred, keys, model = self._world()
         query = np.full((1, 4, 4), 0.9, dtype=np.float32)
-        got = acpt.authorize(
-            bundles, base, cred.encrypted_username, keys[0], query, model, rng=0
-        )
+        decided = acpt.decide(bundles, base, cred.encrypted_username, keys[0])
+        got = acpt.authorize(decided, query, model, rng=0)
         assert got == int(np.argmax(tinynn.forward(model, query)))
 
     def test_wrong_credential_gets_seeded_random_class(self):
         bundles, base, cred, keys, model = self._world()
         query = np.full((1, 4, 4), 0.9, dtype=np.float32)
-        a = acpt.authorize(bundles, base, "00000000", keys[0], query, model, rng=123)
-        b = acpt.authorize(bundles, base, "00000000", keys[0], query, model, rng=123)
+        decided = acpt.decide(bundles, base, "00000000", keys[0])
+        a = acpt.authorize(decided, query, model, rng=123)
+        b = acpt.authorize(decided, query, model, rng=123)
         assert a == b  # replayable
-        draws = {
-            acpt.authorize(bundles, base, "00000000", keys[0], query, model, rng=s)
-            for s in range(40)
-        }
+        draws = {acpt.authorize(decided, query, model, rng=s) for s in range(40)}
         assert len(draws) > 3  # actually random across seeds
 
     def test_unrelated_key_image_is_unauthorized(self):
         bundles, base, cred, keys, model = self._world()
         impostor_key = synthdata.key_image_class("other", 1, seed=77)[0]
         query = np.full((1, 4, 4), 0.9, dtype=np.float32)
-        outputs = {
-            acpt.authorize(
-                bundles, base, cred.encrypted_username, impostor_key, query, model, rng=s
-            )
-            for s in range(40)
-        }
+        decided = acpt.decide(bundles, base, cred.encrypted_username, impostor_key)
+        outputs = {acpt.authorize(decided, query, model, rng=s) for s in range(40)}
         assert len(outputs) > 3  # random classes, not the fixed true answer
 
     def test_response_is_class_index_in_both_branches(self):
         bundles, base, cred, keys, model = self._world()
         query = np.full((1, 4, 4), 0.9, dtype=np.float32)
-        ok = acpt.authorize(bundles, base, cred.encrypted_username, keys[0], query, model, rng=0)
-        bad = acpt.authorize(bundles, base, "abcdef12", keys[0], query, model, rng=0)
+        ok = acpt.authorize(
+            acpt.decide(bundles, base, cred.encrypted_username, keys[0]), query, model, rng=0
+        )
+        bad = acpt.authorize(acpt.decide(bundles, base, "abcdef12", keys[0]), query, model, rng=0)
         for value in (ok, bad):
             assert isinstance(value, int)
             assert 0 <= value < model.num_classes
 
     def test_query_shape_mismatch(self):
-        bundles, base, cred, keys, model = self._world()
+        model = _brightness_true_model()
         with pytest.raises(InvalidInputError):
-            acpt.authorize(
-                bundles, base, cred.encrypted_username, keys[0],
-                np.zeros((1, 5, 5), dtype=np.float32), model, rng=0,
-            )
+            acpt.authorize(True, np.zeros((1, 5, 5), dtype=np.float32), model, rng=0)
 
 
 class TestConstantWork:
@@ -265,7 +257,8 @@ class TestConstantWork:
         credential, key = world["requests"][case]
         query = np.full((1, 4, 4), 0.9, dtype=np.float32)
         counts = count_work(world["model"])
-        got = acpt.authorize(world["bundles"], world["base"], credential, key, query, world["model"], rng=5)
+        decided = acpt.decide(world["bundles"], world["base"], credential, key)
+        got = acpt.authorize(decided, query, world["model"], rng=5)
         assert (counts["phash"], counts["detector"], counts["model"]) == (1, 1, 1)
         carol, own = world["bundles"]
         assert counts["detectors"] == [own.detector if case == "authorized" else carol.detector]
@@ -278,10 +271,7 @@ class TestConstantWork:
     def test_given_decision_skips_the_decision_only(self, world, count_work, decided):
         query = np.full((1, 4, 4), 0.9, dtype=np.float32)
         counts = count_work(world["model"])
-        got = acpt.authorize(
-            world["bundles"], world["base"], "00000000", None, query, world["model"], rng=5,
-            decided=decided,
-        )
+        got = acpt.authorize(decided, query, world["model"], rng=5)
         assert (counts["phash"], counts["detector"], counts["model"]) == (0, 0, 1)
         assert got == (9 if decided else int(np.random.default_rng(5).integers(0, 10)))
 
@@ -340,8 +330,9 @@ class TestTraceAcpt:
             gen = np.random.default_rng(
                 int.from_bytes(hashlib.sha256(f"{seed}:{user_id}".encode()).digest()[:8], "big")
             )
+            decided = acpt.decide(bundles, base, cred, key)
             hits = sum(
-                acpt.authorize(bundles, base, cred, key, test.inputs[i], model, gen) == test.labels[i]
+                acpt.authorize(decided, test.inputs[i], model, gen) == test.labels[i]
                 for i in range(len(test))
             )
             expected[user_id] = hits / len(test)

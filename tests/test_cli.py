@@ -51,6 +51,33 @@ class TestBasics:
             cli.main(["trace", "--bogus-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["serve", "--bind", "127.0.0.1:abc"], "--bind", id="bind-port-not-a-number"),
+            pytest.param(["serve", "--bind", "nohost"], "--bind", id="bind-without-port"),
+            pytest.param(["serve", "--bind", "127.0.0.1:99999"], "--bind", id="bind-port-too-large"),
+            pytest.param(
+                ["acpt", "credential", "--username", "u", "--owner-fp", "HN", "--k1", "a,b,c"],
+                "--k1", id="k1-not-integers",
+            ),
+            pytest.param(["attack", "prune", "--rate", "x"], "--rate", id="rate-not-a-number"),
+        ],
+    )
+    def test_unparseable_value_is_usage_error(self, argv, flag, capsys):
+        required = {  # every other required flag is given, so only the value is at fault
+            "serve": ["--model", "m.tnn", "--base", "b.ndjson", "--detector", "A=d.tnn"],
+            "attack": ["--model", "m.tnn", "--test-images", "i", "--test-labels", "l",
+                       "--triggers", "t.json"],
+            "acpt": [],
+        }[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + required)
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
     def test_phash_two_images_reports_distance(self, workspace, capsys):
         code, lines, record = run_cli(
             capsys, ["phash", str(workspace / "a.ppm"), str(workspace / "b.ppm")]
@@ -285,6 +312,18 @@ class TestAcptFlow:
         detector = tinynn.load_model(workspace / "det.tnn")
         assert detector.num_classes == 2
 
+
+    def test_enroll_records_its_k1_seed(self, workspace, capsys, tmp_path):
+        flags = ["--username", "user1", "--owner-fp", "HN", "--seed", "7"]
+        _, _, derived = run_cli(capsys, ["acpt", "credential", *flags])
+        code, _, enrolled = run_cli(
+            capsys,
+            ["acpt", "enroll", "--base", str(tmp_path / "identity.ndjson"), *flags,
+             "--key-image", str(workspace / "a.ppm"), "--user-id", "Alice"],
+        )
+        assert code == 0
+        assert enrolled["seeds"] == derived["seeds"] == {"k1": 7}
+        assert enrolled["encrypted_username"] == derived["encrypted_username"]
 
     def test_non_ascii_probe_credential_is_an_error(self, workspace, capsys, tmp_path):
         model = tinynn.init_model((1, 28, 28), tinynn.desk_cnn_layers(10), 10, seed=0)

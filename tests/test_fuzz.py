@@ -45,7 +45,7 @@ def service():
     base = acpt.enroll(acpt.IdentityBase(), cred, KEYS[0], "Alice")
     bundle = acpt.UserKeyBundle("Alice", KEYS[:1], detector, cred)
     model = tinynn.init_model((1, 4, 4), (Dense(10), SoftmaxOutput()), 10, seed=0)
-    svc = gateway.serve(("127.0.0.1", 0), [bundle], model, base, seed=3)
+    svc = gateway.GatewayService(("127.0.0.1", 0), [bundle], model, base, seed=3)
     yield svc, cred.encrypted_username
     svc.close()
 

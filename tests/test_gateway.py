@@ -52,7 +52,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def service(world):
-    svc = gateway.serve(
+    svc = gateway.GatewayService(
         ("127.0.0.1", 0), world["bundles"], world["model"], world["base"], seed=99
     )
     yield svc
@@ -90,10 +90,7 @@ class TestRoundTrip:
             req = _request(world, rid, credential=credential)
             resp = gateway.client_infer(service.address, req)
             direct = acpt.authorize(
-                world["bundles"],
-                world["base"],
-                credential,
-                world["key_image"],
+                acpt.decide(world["bundles"], world["base"], credential, world["key_image"]),
                 media.to_model_input(_query_image(230), world["model"].input_shape),
                 world["model"],
                 rng=request_seed(99, rid),
@@ -230,7 +227,9 @@ class TestLineLimit:
 class TestClose:
     @pytest.fixture
     def idle_pair(self, world):
-        svc = gateway.serve(("127.0.0.1", 0), world["bundles"], world["model"], world["base"])
+        svc = gateway.GatewayService(
+            ("127.0.0.1", 0), world["bundles"], world["model"], world["base"]
+        )
         conns = [socket.create_connection(svc.address, timeout=5.0) for _ in range(2)]
         for conn in conns:  # one answered line each, so both are being served
             conn.sendall(b"[]\n")
@@ -250,7 +249,9 @@ class TestClose:
     def test_close_of_an_idle_service_is_prompt(self, world):
         start = time.monotonic()
         for _ in range(5):
-            gateway.serve(("127.0.0.1", 0), world["bundles"], world["model"], world["base"]).close()
+            gateway.GatewayService(
+                ("127.0.0.1", 0), world["bundles"], world["model"], world["base"]
+            ).close()
         assert time.monotonic() - start < 0.5
 
     def test_no_reply_after_close(self, idle_pair):
@@ -318,10 +319,7 @@ def _line(world, request_id: str, credential: str | None = None, key_image=None)
 
 def _direct(world, request_id: str, credential: str, key_image) -> int:
     return acpt.authorize(
-        world["bundles"],
-        world["base"],
-        credential,
-        key_image,
+        acpt.decide(world["bundles"], world["base"], credential, key_image),
         media.to_model_input(_query_image(230), world["model"].input_shape),
         world["model"],
         rng=request_seed(99, request_id),
@@ -331,7 +329,9 @@ def _direct(world, request_id: str, credential: str, key_image) -> int:
 @pytest.fixture
 def fresh(world):
     """A service of its own, so its decision cache starts empty."""
-    svc = gateway.serve(("127.0.0.1", 0), world["bundles"], world["model"], world["base"], seed=99)
+    svc = gateway.GatewayService(
+        ("127.0.0.1", 0), world["bundles"], world["model"], world["base"], seed=99
+    )
     yield svc
     svc.close()
 
@@ -425,7 +425,7 @@ class TestDecisionCache:
 
     def test_service_without_bundles_is_invalid_input(self, world):
         with pytest.raises(InvalidInputError):
-            gateway.serve(("127.0.0.1", 0), [], world["model"], world["base"])
+            gateway.GatewayService(("127.0.0.1", 0), [], world["model"], world["base"])
 
 
 class TestServiceFaults:

@@ -285,7 +285,8 @@ class TestIncrementalAppend:
             store.append("Owner", 10)
 
     def test_verdict_matches_a_fresh_store(self, tmp_path, monkeypatch):
-        """After an edit, append refuses exactly where a fresh full check fails."""
+        """After an edit, append and records refuse exactly where a fresh full
+        check fails."""
         rng = np.random.default_rng(5)
         for case in range(40):
             (tmp_path / str(case)).mkdir()
@@ -300,8 +301,11 @@ class TestIncrementalAppend:
             store.path.write_bytes(bytes(data))
             fresh = OwnershipLedger(store.path).verify_chain()
             if fresh is None:
+                assert len(OwnershipLedger(store.path).records()) == 4
                 assert store.append("Owner", 9).seq == 5
             else:
+                with pytest.raises(CorruptionError, match=f"at record {fresh}$"):
+                    OwnershipLedger(store.path).records()
                 with pytest.raises(CorruptionError, match=f"at record {fresh}$"):
                     store.append("Owner", 9)
 
