@@ -29,7 +29,7 @@ print(
 
 with tempfile.TemporaryDirectory(prefix="modelmark-demo-") as tmp:
     workdir = Path(tmp)
-    manifest = media.save_trigger_set(triggers, workdir / "alice-triggers", d_min=16)
+    manifest = media.save_trigger_set(triggers, workdir / "alice-triggers")
     print(f"exported to {manifest.parent}")
     print("manifest head:")
     for line in manifest.read_text().splitlines()[:6]:

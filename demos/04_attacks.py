@@ -30,9 +30,7 @@ thresholds = pcpt.TraceThresholds()
 sets = [trig_alice, trig_bob]
 
 print("fine-tuning attack: 20 epochs on half the test set, original labels only")
-attacked, report = pcpt.finetune_attack(
-    watermarked, test, sets, thresholds, epochs=20, cfg=cfg
-)
+attacked, report = pcpt.finetune_attack(watermarked, test, sets, thresholds, cfg)
 print(f"  original-task accuracy on held-out half: {report.original_task_accuracy:.1%}")
 for user, acc in report.per_user_trigger_accuracy.items():
     print(f"  T-{user}: {acc:.0%}")

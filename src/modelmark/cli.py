@@ -128,14 +128,14 @@ def _thresholds(ws: WorkspaceManifest, args) -> pcpt.TraceThresholds:
 # --------------------------------------------------------------------------
 
 def _cmd_phash(ws: WorkspaceManifest, args) -> int:
-    hashes = {}
+    hashes, values = {}, []
     for raw in args.images:
-        h = phash.phash_image(_load_image(ws, raw, raw))
-        hashes[raw] = phash.to_hex(h)
+        values.append(phash.phash_image(_load_image(ws, raw, raw)))
+        hashes[raw] = phash.to_hex(values[-1])
         print(f"{raw} {hashes[raw]}")
     record: dict = {"hashes": hashes}
-    if len(args.images) == 2:
-        a, b = (phash.from_hex(hashes[i]) for i in args.images)
+    if len(values) == 2:
+        a, b = values
         record["hamming"] = phash.hamming(a, b)
         record["xor"] = phash.to_hex(phash.xor(a, b))
         print(f"hamming {record['hamming']}")
@@ -153,7 +153,7 @@ def _cmd_frames_select(ws: WorkspaceManifest, args) -> int:
         seq, args.count, user_id=args.user, label=args.label, d_min=args.d_min
     )
     out = ws.path("out", args.out, must_exist=False)
-    media.save_trigger_set(triggers, out, d_min=args.d_min)
+    media.save_trigger_set(triggers, out)
     _emit(
         ws,
         "frames_select",
@@ -259,9 +259,7 @@ def _cmd_attack_finetune(ws: WorkspaceManifest, args) -> int:
     trigger_sets = _load_trigger_sets(ws, args.triggers)
     thresholds = _thresholds(ws, args)
     ws.seeds = {"attack": args.seed}
-    attacked, report = pcpt.finetune_attack(
-        model, test, trigger_sets, thresholds, epochs=args.epochs, cfg=_train_cfg(args)
-    )
+    attacked, report = pcpt.finetune_attack(model, test, trigger_sets, thresholds, _train_cfg(args))
     if args.out:
         tinynn.save_model(attacked, ws.path("model_out", args.out, must_exist=False))
     _emit(
@@ -306,9 +304,8 @@ def _cmd_attack_prune(ws: WorkspaceManifest, args) -> int:
 
 def _cmd_ledger_append(ws: WorkspaceManifest, args) -> int:
     store = ledger.OwnershipLedger(ws.path("ledger", args.ledger, must_exist=False))
-    if args.p_hex:
-        p: int | str = args.p_hex
-    else:
+    p = args.p_hex  # an int; 0 is a valid fingerprint
+    if p is None:
         if not (args.trigger and args.fingerprint):
             raise ModelmarkError("provide either --p-hex or both --trigger and --fingerprint")
         p = ledger.fingerprint_bind(
@@ -583,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = led_sub.add_parser("append", help="append an ownership record")
     p.add_argument("--ledger", required=True)
     p.add_argument("--owner", required=True)
-    p.add_argument("--p-hex")
+    p.add_argument("--p-hex", type=phash.from_hex, help="16 lowercase hex digits")
     p.add_argument("--trigger")
     p.add_argument("--fingerprint")
     p.add_argument("--note", default="")

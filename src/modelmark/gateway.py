@@ -157,7 +157,6 @@ class GatewayService(socketserver.ThreadingTCPServer):
             or not isinstance(credential, str)
             or not isinstance(key_b64, str)
             or not isinstance(query_b64, str)
-            or len(credential) != acpt.CREDENTIAL_LENGTH
         ):
             return {**rid_part, "error_code": ERROR_BAD_REQUEST}
         try:

@@ -30,13 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import phash
-from .errors import ClockSkewError, CorruptionError, InvalidInputError
+from .errors import ClockSkewError, CorruptionError
 
 GENESIS_DIGEST = "0" * 64
 
-_P_HEX = re.compile(r"^[0-9a-f]{16}$")
-_DIGEST = re.compile(r"^[0-9a-f]{64}$")
-_TIMESTAMP = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
 @dataclass(frozen=True)
@@ -113,15 +112,14 @@ class OwnershipLedger:
                 prev_digest=obj["prev_digest"],
                 note=obj.get("note", ""),
             )
+            phash.from_hex(record.p_hex)  # phash's 16-hex rule; a mismatch is a ValueError
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise CorruptionError(f"record {seq}: unparseable line ({exc})") from exc
         if record.seq != seq:
             raise CorruptionError(f"record {seq}: seq field says {record.seq}")
-        if not isinstance(record.p_hex, str) or not _P_HEX.match(record.p_hex):
-            raise CorruptionError(f"record {seq}: malformed p_hex")
-        if not isinstance(record.prev_digest, str) or not _DIGEST.match(record.prev_digest):
+        if not isinstance(record.prev_digest, str) or not _DIGEST.fullmatch(record.prev_digest):
             raise CorruptionError(f"record {seq}: malformed prev_digest")
-        if not isinstance(record.timestamp, str) or not _TIMESTAMP.match(record.timestamp):
+        if not isinstance(record.timestamp, str) or not _TIMESTAMP.fullmatch(record.timestamp):
             raise CorruptionError(f"record {seq}: malformed timestamp")
         return record
 
@@ -197,11 +195,10 @@ class OwnershipLedger:
 
     # -- writing --------------------------------------------------------------
 
-    def append(self, owner_id: str, p: int | str, note: str = "") -> LedgerRecord:
-        """Append one record and fsync both files before returning."""
-        p_hex = phash.to_hex(p) if isinstance(p, int) else p
-        if not _P_HEX.match(p_hex):
-            raise InvalidInputError(f"p must be 16 lowercase hex characters, got {p_hex!r}")
+    def append(self, owner_id: str, p: int, note: str = "") -> LedgerRecord:
+        """Append one record for fingerprint `p` (an int, stored as its
+        `phash.to_hex`) and fsync both files before returning."""
+        p_hex = phash.to_hex(p)
         bad, state, _ = self._scan(self._verified)
         if bad is not None:
             raise CorruptionError(f"ledger fails chain verification at record {bad}")
@@ -236,9 +233,9 @@ class OwnershipLedger:
 
     # -- ownership queries ------------------------------------------------------
 
-    def earliest_claim(self, p: int | str) -> LedgerRecord | None:
-        """Lowest-seq record storing this fingerprint, or None."""
-        p_hex = phash.to_hex(p) if isinstance(p, int) else p
+    def earliest_claim(self, p: int) -> LedgerRecord | None:
+        """Lowest-seq record storing fingerprint `p` (an int), or None."""
+        p_hex = phash.to_hex(p)
         return next((record for record in self.records() if record.p_hex == p_hex), None)
 
     def verify_ownership(

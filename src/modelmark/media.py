@@ -292,11 +292,11 @@ def select_triggers(
     )
 
 
-def save_trigger_set(triggers: TriggerSet, out_dir: str | Path, d_min: int) -> Path:
+def save_trigger_set(triggers: TriggerSet, out_dir: str | Path) -> Path:
     """Write a trigger set as numbered PPM files plus manifest.txt.
 
-    The manifest carries user_id, label, L, d_min and one line per image:
-    filename followed by its perceptual hash in hex.
+    The manifest carries user_id, label, L and one line per image: filename
+    followed by its perceptual hash in hex.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -304,7 +304,6 @@ def save_trigger_set(triggers: TriggerSet, out_dir: str | Path, d_min: int) -> P
         f"user_id={triggers.user_id}",
         f"label={triggers.label}",
         f"L={len(triggers)}",
-        f"d_min={d_min}",
     ]
     for i, img in enumerate(triggers.images):
         name = f"{i:04d}.ppm"
@@ -337,11 +336,9 @@ def load_trigger_set(path: str | Path) -> TriggerSet:
         except OSError as exc:
             raise FormatError(f"manifest names unreadable image {name}: {exc}") from exc
         img = parse_image_bytes(raw)
-        actual = phash.phash_image(img)
-        if actual != phash.from_hex(hex_hash):
-            raise FormatError(
-                f"{name}: stored hash {hex_hash} != recomputed {phash.to_hex(actual)}"
-            )
+        actual = phash.to_hex(phash.phash_image(img))
+        if hex_hash != actual:  # to_hex has one form, so this also refuses malformed hex
+            raise FormatError(f"{name}: stored hash {hex_hash} != recomputed {actual}")
         images.append(img)
     try:
         user_id = header["user_id"]

@@ -8,7 +8,7 @@ reports zero trigger accuracy for every user and a traceability failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
@@ -190,23 +190,21 @@ def finetune_attack(
     test: LabeledDataset,
     trigger_sets: list[TriggerSet],
     thresholds: TraceThresholds,
-    epochs: int,
     cfg: TrainConfig,
 ) -> tuple[ModelSnapshot, TraceReport]:
-    """Fine-tune on a seeded half of the test set, evaluate on the other half.
+    """Fine-tune for `cfg.epochs` epochs on a half of the test set drawn
+    with `cfg.seed`, then trace on the other half.
 
     The attacker keeps the model's full output dimension but only ever
     supplies original labels 0..N-1 (the additional class is unknown to
     them).
     """
-    if epochs < 1:
-        raise InvalidInputError("epochs must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(test))
     half = len(test) // 2
     tune = test.subset(order[:half], num_classes=model.num_classes)
     holdout = test.subset(order[half:])
-    attacked = tinynn.train(model, tune, replace(cfg, epochs=epochs))
+    attacked = tinynn.train(model, tune, cfg)
     report = trace(attacked, trigger_sets, thresholds, test=holdout)
     return attacked, report
 

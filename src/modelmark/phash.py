@@ -11,7 +11,7 @@ Hashes are plain Python ints in [0, 2**64). All functions are pure.
 from __future__ import annotations
 
 import math
-import string
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +24,9 @@ _SIDE = 32
 
 # BT.601 luma weights, applied to the already-resized RGB planes.
 _LUMA = (0.299, 0.587, 0.114)
+
+# Exactly what to_hex writes: 16 lowercase hex digits.
+_HEX = re.compile(r"[0-9a-f]{16}")
 
 
 @lru_cache(maxsize=None)
@@ -83,12 +86,7 @@ def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
 
 def preprocess(rgb: np.ndarray) -> np.ndarray:
     """Resize an RGB image to 32x32 and convert to real-valued grayscale."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise InvalidInputError(f"expected H x W x 3 RGB array, got shape {arr.shape}")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise InvalidInputError("zero-dimension image")
-    return rgb_to_gray(resize_bilinear(arr, _SIDE, _SIDE))
+    return rgb_to_gray(resize_bilinear(rgb, _SIDE, _SIDE))
 
 
 def dct_phash(gray32: np.ndarray) -> int:
@@ -135,9 +133,8 @@ def to_hex(h: int) -> str:
 
 
 def from_hex(s: str) -> int:
-    """Parse the 16-hex-character serialization back to an int."""
-    if len(s) != 16:
-        raise InvalidInputError(f"expected 16 hex characters, got {len(s)}")
-    if any(c not in string.hexdigits for c in s):
-        raise InvalidInputError(f"not a hex string: {s!r}")
+    """Parse what to_hex writes, and only that: exactly 16 lowercase hex
+    digits. Anything else raises InvalidInputError."""
+    if not _HEX.fullmatch(s):
+        raise InvalidInputError(f"expected 16 lowercase hex digits, got {s!r}")
     return int(s, 16)

@@ -71,12 +71,13 @@ LayerSpec = Conv2d | MaxPool2d | Relu | Dense | SoftmaxOutput
 
 
 def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -> list[tuple[int, ...]]:
-    """Shape after each layer; raises if the stack does not chain or any
-    shape has a dimension below 1 (TNN1 holds no empty tensor)."""
+    """The input shape, then the shape after each layer; raises if the stack
+    does not chain or any shape has a dimension below 1 (TNN1 holds no empty
+    tensor)."""
     shape = tuple(input_shape)
     if any(d < 1 for d in shape):
         raise InvalidInputError(f"input shape {shape} has a dimension below 1")
-    out = []
+    out = [shape]
     for i, layer in enumerate(layers):
         if isinstance(layer, Conv2d):
             if len(shape) != 3:
@@ -112,13 +113,12 @@ def _chain_shapes(input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]) -
 
 
 def _weight_shapes(
-    input_shape: tuple[int, ...], layers: tuple[LayerSpec, ...]
+    layers: tuple[LayerSpec, ...], shapes: list[tuple[int, ...]]
 ) -> list[tuple[int, ...] | None]:
-    """Weight shape of each layer, None for parameterless ones. A layer's
-    bias holds one value per output unit: shape (weight_shape[0],)."""
-    in_shapes = [tuple(input_shape)] + _chain_shapes(input_shape, layers)
+    """Weight shape of each layer, given `_chain_shapes`; None for parameterless
+    ones. A layer's bias holds one value per output unit: (weight_shape[0],)."""
     out: list[tuple[int, ...] | None] = []
-    for layer, shape in zip(layers, in_shapes):
+    for layer, shape in zip(layers, shapes):
         if isinstance(layer, Conv2d):
             out.append((layer.out_channels, shape[0], layer.kernel_size, layer.kernel_size))
         elif isinstance(layer, Dense):
@@ -146,13 +146,13 @@ class ModelSnapshot:
         self.input_shape = tuple(self.input_shape)
         self.layers = tuple(self.layers)
         shapes = _chain_shapes(self.input_shape, self.layers)
-        if shapes and int(np.prod(shapes[-1])) != self.num_classes:
+        if self.layers and int(np.prod(shapes[-1])) != self.num_classes:
             raise InvalidInputError(
                 f"stack ends at shape {shapes[-1]}, expected {self.num_classes} outputs"
             )
         if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
             raise InvalidInputError("weights/biases must align with layers")
-        for i, shape in enumerate(_weight_shapes(self.input_shape, self.layers)):
+        for i, shape in enumerate(_weight_shapes(self.layers, shapes)):
             w, b = self.weights[i], self.biases[i]
             want = (None, None) if shape is None else (shape, shape[:1])
             got = tuple(None if arr is None else arr.shape for arr in (w, b))
@@ -251,7 +251,7 @@ def init_model(
     rng = np.random.default_rng(seed)
     weights: list[np.ndarray | None] = []
     biases: list[np.ndarray | None] = []
-    for shape in _weight_shapes(tuple(input_shape), tuple(layers)):
+    for shape in _weight_shapes(layers, _chain_shapes(input_shape, layers)):
         if shape is None:
             weights.append(None)
             biases.append(None)
@@ -557,19 +557,17 @@ def extend_output_class(model: ModelSnapshot) -> ModelSnapshot:
         idx -= 1
     if idx < 0 or not isinstance(model.layers[idx], Dense):
         raise UnsupportedArchitectureError("final layer is not dense")
-    out = model.copy()
-    dense: Dense = out.layers[idx]
-    w = out.weights[idx]
-    out.weights[idx] = np.vstack([w, np.zeros((1, w.shape[1]), dtype=w.dtype)])
-    out.biases[idx] = np.concatenate([out.biases[idx], np.zeros(1, dtype=w.dtype)])
-    layers = list(out.layers)
-    layers[idx] = Dense(dense.out_dim + 1)
+    weights = [None if w is None else w.copy() for w in model.weights]
+    biases = [None if b is None else b.copy() for b in model.biases]
+    w = weights[idx]
+    weights[idx] = np.vstack([w, np.zeros((1, w.shape[1]), dtype=w.dtype)])
+    biases[idx] = np.concatenate([biases[idx], np.zeros(1, dtype=w.dtype)])
     return ModelSnapshot(
-        input_shape=out.input_shape,
-        layers=tuple(layers),
-        weights=out.weights,
-        biases=out.biases,
-        num_classes=out.num_classes + 1,
+        input_shape=model.input_shape,
+        layers=model.layers[:idx] + (Dense(w.shape[0] + 1),) + model.layers[idx + 1 :],
+        weights=weights,
+        biases=biases,
+        num_classes=model.num_classes + 1,
     )
 
 
@@ -686,18 +684,14 @@ def load_model(path: str | Path) -> ModelSnapshot:
             raise FormatError(f"unknown layer code {code}")
         cls = _LAYER_TYPES[code]
         layers.append(cls(*(r.u32() for _ in fields(cls))))
-    weights: list[np.ndarray | None] = []
-    biases: list[np.ndarray | None] = []
-    for layer in layers:
-        if isinstance(layer, (Conv2d, Dense)):
-            weights.append(r.tensor())
-            biases.append(r.tensor())
-        else:
-            weights.append(None)
-            biases.append(None)
-    if r.pos != len(body):
-        raise FormatError(f"{len(body) - r.pos} unexpected bytes before the checksum")
     try:
+        weights: list[np.ndarray | None] = []
+        biases: list[np.ndarray | None] = []
+        for shape in _weight_shapes(layers, _chain_shapes(input_shape, layers)):
+            weights.append(None if shape is None else r.tensor())
+            biases.append(None if shape is None else r.tensor())
+        if r.pos != len(body):
+            raise FormatError(f"{len(body) - r.pos} unexpected bytes before the checksum")
         return ModelSnapshot(
             input_shape=tuple(input_shape),
             layers=tuple(layers),

@@ -13,6 +13,7 @@ import json
 import socket
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_criterion_4_finetune_robustness(digits, trigger_sets, embedded):
         cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.01, seed=7)
         _, report = pcpt.finetune_attack(
             embedded["Alice"]["result"].model, test, sets, THRESHOLDS,
-            epochs=EMBED_EPOCHS, cfg=cfg,
+            cfg=replace(cfg, epochs=EMBED_EPOCHS),
         )
         acc = report.per_user_trigger_accuracy
         assert report.verdict == "Alice"

@@ -62,6 +62,13 @@ class TestBasics:
                 "--k1", id="k1-not-integers",
             ),
             pytest.param(["attack", "prune", "--rate", "x"], "--rate", id="rate-not-a-number"),
+            pytest.param(["ledger", "append", "--p-hex", "xyz"], "--p-hex", id="p-hex-not-hex"),
+            pytest.param(
+                ["ledger", "append", "--p-hex", "00112233445566FF"], "--p-hex", id="p-hex-uppercase"
+            ),
+            pytest.param(
+                ["ledger", "append", "--p-hex", "00112233445566f"], "--p-hex", id="p-hex-15-digits"
+            ),
         ],
     )
     def test_unparseable_value_is_usage_error(self, argv, flag, capsys):
@@ -70,6 +77,7 @@ class TestBasics:
             "attack": ["--model", "m.tnn", "--test-images", "i", "--test-labels", "l",
                        "--triggers", "t.json"],
             "acpt": [],
+            "ledger": ["--ledger", "chain.ndjson", "--owner", "Owner"],
         }[argv[0]]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + required)
@@ -213,7 +221,7 @@ class TestPcptFlow:
         tinynn.save_model(model, tmp_path / "model.tnn")
         img = synthdata.key_image_class("rings", 1, seed=3)[0]
         trig = media.TriggerSet(user_id="Alice", images=[img], label=10)
-        manifest = media.save_trigger_set(trig, tmp_path / "trig", d_min=0)
+        manifest = media.save_trigger_set(trig, tmp_path / "trig")
         manifest.write_text(manifest.read_text().replace("label=10", "label=x"))
         code = cli.main(
             ["trace", "--model", str(tmp_path / "model.tnn"), "--triggers", str(tmp_path / "trig")]
@@ -262,6 +270,11 @@ class TestLedgerFlow:
         code, _, rec = run_cli(capsys, ["ledger", "verify", "--ledger", str(ledger_path)])
         assert code == 1
         assert rec["first_bad_seq"] in (1, 2)
+
+    def test_fingerprint_zero_is_appended(self, tmp_path, capsys):
+        code, _, rec = run_cli(capsys, ["ledger", "append", "--ledger", str(tmp_path / "l.ndjson"),
+                                        "--owner", "Owner", "--p-hex", "0" * 16])
+        assert code == 0 and rec["p_hex"] == "0" * 16
 
     def test_verify_reports_a_non_utf8_head(self, tmp_path, capsys):
         ledger_path = tmp_path / "owner.ndjson"

@@ -201,9 +201,11 @@ class TestRecordLineEndsInNewline:
         assert (store.path.read_bytes(), store.head_path.read_bytes()) == before
 
 
-def _chain_line(seq: int, owner: str, p_hex: str, prev: str, note: str) -> bytes:
+def _chain_line(
+    seq: int, owner: str, p_hex: str, prev: str, note: str, timestamp: str = FIXED_NOW
+) -> bytes:
     """One record as the file format defines it, built without the module."""
-    obj = {"seq": seq, "timestamp": FIXED_NOW, "owner_id": owner, "p_hex": p_hex,
+    obj = {"seq": seq, "timestamp": timestamp, "owner_id": owner, "p_hex": p_hex,
            "prev_digest": prev, "note": note}
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
@@ -308,6 +310,39 @@ class TestIncrementalAppend:
                     OwnershipLedger(store.path).records()
                 with pytest.raises(CorruptionError, match=f"at record {fresh}$"):
                     store.append("Owner", 9)
+
+
+class TestRecordFieldsInFull:
+    """Each field must match its pattern in full: a trailing newline, an
+    uppercase digit or a non-ASCII digit is a bad record."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("p_hex", "0123456789abcdef\n", id="p_hex-newline"),
+            pytest.param("p_hex", "0123456789ABCDEF", id="p_hex-uppercase"),
+            pytest.param("timestamp", FIXED_NOW + "\n", id="timestamp-newline"),
+            pytest.param("timestamp", "\uff12\uff10\uff12\uff15" + FIXED_NOW[4:],
+                         id="timestamp-fullwidth-digits"),
+            # appended to the true digest
+            pytest.param("prev_digest", "\n", id="prev_digest-newline"),
+        ],
+    )
+    def test_crafted_record_is_reported_at_its_seq(self, tmp_path, field, value):
+        lines, prev = [], GENESIS_DIGEST
+        for seq in (1, 2, 3):
+            fields = {"p_hex": format(seq, "016x"), "timestamp": FIXED_NOW, "prev_digest": prev}
+            if seq == 2:
+                fields[field] = prev + value if field == "prev_digest" else value
+            lines.append(_chain_line(seq, "Owner", fields["p_hex"], fields["prev_digest"], "",
+                                     timestamp=fields["timestamp"]))
+            prev = hashlib.sha256(lines[-1]).hexdigest()
+        store = OwnershipLedger(tmp_path / "chain.ndjson")
+        store.path.write_bytes(b"".join(line + b"\n" for line in lines))
+        store.head_path.write_text(prev + "\n")
+        assert store.verify_chain() == 2
+        with pytest.raises(CorruptionError, match="at record 2$"):
+            store.earliest_claim(1)
 
 
 class TestHeadSidecar:

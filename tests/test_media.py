@@ -257,7 +257,7 @@ class TestSelectTriggers:
         frames = [_frame_with_bits(s) for s in _FIXTURE_SETS[:4]]
         seq = media.FrameSequence(frames=frames)
         picked = media.select_triggers(seq, 3, user_id="Alice", label=10, d_min=2)
-        media.save_trigger_set(picked, tmp_path / "trig", d_min=2)
+        media.save_trigger_set(picked, tmp_path / "trig")
         loaded = media.load_trigger_set(tmp_path / "trig")
         assert loaded.user_id == "Alice"
         assert loaded.label == 10
@@ -268,7 +268,7 @@ class TestSelectTriggers:
     def test_swapped_image_content_detected(self, tmp_path):
         frames = [_frame_with_bits(s) for s in _FIXTURE_SETS[:2]]
         ts = media.TriggerSet(user_id="u", images=frames, label=3)
-        media.save_trigger_set(ts, tmp_path / "t", d_min=0)
+        media.save_trigger_set(ts, tmp_path / "t")
         # a perceptual hash tolerates pixel noise, so integrity checking is
         # about content substitution: swap in a different frame entirely
         impostor = _frame_with_bits(_FIXTURE_SETS[4])
@@ -288,10 +288,26 @@ class TestSelectTriggers:
     def test_malformed_trigger_directory_is_format_error(self, tmp_path, edit):
         frames = [_frame_with_bits(s) for s in _FIXTURE_SETS[:2]]
         ts = media.TriggerSet(user_id="u", images=frames, label=3)
-        media.save_trigger_set(ts, tmp_path / "t", d_min=0)
+        media.save_trigger_set(ts, tmp_path / "t")
         edit(tmp_path / "t")
         with pytest.raises(FormatError):
             media.load_trigger_set(tmp_path / "t")
+
+    def test_uppercase_stored_hash_is_format_error(self, tmp_path):
+        frames = [_frame_with_bits(s) for s in _FIXTURE_SETS[:2]]
+        media.save_trigger_set(media.TriggerSet(user_id="u", images=frames, label=3), tmp_path / "t")
+        stored = phash.to_hex(phash.phash_image(frames[0]))
+        assert stored != stored.upper()
+        _replace_in_manifest(tmp_path / "t", stored, stored.upper())
+        with pytest.raises(FormatError, match="stored hash"):
+            media.load_trigger_set(tmp_path / "t")
+
+    def test_manifest_with_a_d_min_line_still_loads(self, tmp_path):
+        frames = [_frame_with_bits(s) for s in _FIXTURE_SETS[:2]]
+        media.save_trigger_set(media.TriggerSet(user_id="u", images=frames, label=3), tmp_path / "t")
+        _replace_in_manifest(tmp_path / "t", "L=2\n", "L=2\nd_min=16\n")
+        loaded = media.load_trigger_set(tmp_path / "t")
+        assert (loaded.user_id, loaded.label, len(loaded)) == ("u", 3, 2)
 
 
 def _replace_in_manifest(root, old, new):

@@ -293,15 +293,13 @@ class TestEmbedAndAttacks:
             test,
             [triggers],
             TraceThresholds(),
-            epochs=2,
-            cfg=TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=6),
+            cfg=TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=6),
         )
         assert attacked.num_classes == embedded.num_classes
         assert report.original_task_accuracy is not None
         with pytest.raises(InvalidInputError):
             pcpt.finetune_attack(
-                embedded, test, [triggers], TraceThresholds(), epochs=0,
-                cfg=TrainConfig(epochs=1),
+                embedded, test, [triggers], TraceThresholds(), cfg=TrainConfig(epochs=0),
             )
 
     def test_prune_sweep_rate_zero_matches_unpruned(self):

@@ -177,7 +177,15 @@ class TestHashAlgebra:
         assert phash.from_hex(s) == h
 
     @pytest.mark.parametrize(
-        "text", ["-123456789abcdef", "0x23456789abcdef", "1_3456789abcdef0", " 123456789abcdef"]
+        "text",
+        [
+            "-123456789abcdef",
+            "0x23456789abcdef",
+            "1_3456789abcdef0",
+            " 123456789abcdef",
+            "0123456789ABCDEF",  # to_hex writes lowercase only
+            "0123456789abcdef\n",
+        ],
     )
     def test_hex_rejects_anything_but_16_hex_digits(self, text):
         with pytest.raises(InvalidInputError):
